@@ -18,11 +18,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
-from .config import default_tolerance
+from .config import default_tolerance, resolve_tolerance
 from .contexts import ContextPoset, build_poset
-from .daseinisation import daseinise_projection, outer_projection
+from .daseinisation import daseinise_projection
 from .demo import render_demo, spin1_demo_doc
 from .errors import InternalInvariantViolation, ToposqError
 from .operators import operator_arrow
@@ -38,57 +37,29 @@ from .serialization import (
     subobject_to_doc,
     value_to_doc,
 )
-from .states import check_containment, pseudo_state, value
+from .states import containment_report, pseudo_state, value
 from .suites import run_all
 
-__all__ = ["RunConfig", "main"]
-
-
-@dataclass
-class RunConfig:
-    """Validated run options shared by the subcommands."""
-
-    tolerance: float
-    seed: int = 0
-    close_coarsening: bool = False
-    close_intersection: bool = False
-    fmt: str = "table"
-
-    def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
-        if self.fmt not in ("table", "json"):
-            raise ValueError(f"format must be 'table' or 'json', got {self.fmt!r}")
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        tolerance=args.tol,
-        seed=getattr(args, "seed", 0),
-        close_coarsening=getattr(args, "close_coarsening", False),
-        close_intersection=getattr(args, "close_intersection", False),
-        fmt=args.format,
-    )
+__all__ = ["main"]
 
 
 def _emit_json(doc) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _build_poset_from_files(paths, config: RunConfig) -> ContextPoset:
-    seeds = [load_context(path, config.tolerance) for path in paths]
+def _build_poset_from_files(paths, args: argparse.Namespace) -> ContextPoset:
+    seeds = [load_context(path, args.tol) for path in paths]
     return build_poset(
         seeds,
-        close_coarsening=config.close_coarsening,
-        close_intersection=config.close_intersection,
-        tol=config.tolerance,
+        close_coarsening=args.close_coarsening,
+        close_intersection=args.close_intersection,
+        tol=args.tol,
     )
 
 
 def cmd_contexts(args: argparse.Namespace) -> int:
-    config = _config(args)
-    poset = _build_poset_from_files(args.files, config)
-    if config.fmt == "json":
+    poset = _build_poset_from_files(args.files, args)
+    if args.format == "json":
         _emit_json(poset_to_doc(poset))
         return 0
     print(f"contexts: {len(poset)}")
@@ -103,31 +74,25 @@ def cmd_contexts(args: argparse.Namespace) -> int:
 
 
 def cmd_das_proj(args: argparse.Namespace) -> int:
-    config = _config(args)
-    p = load_projection(args.projection, config.tolerance)
-    poset = _build_poset_from_files(args.contexts, config)
-    sub = daseinise_projection(p, poset, config.tolerance)
-    if config.fmt == "json":
-        doc = subobject_to_doc(sub)
-        doc["outer_ranks"] = {
-            v.id: outer_projection(p, v, config.tolerance).rank for v in poset
-        }
-        _emit_json(doc)
+    p = load_projection(args.projection, args.tol)
+    poset = _build_poset_from_files(args.contexts, args)
+    sub = daseinise_projection(p, poset, args.tol)
+    # The outer projection at v is the sum of the atoms in sub's component.
+    ranks = {v.id: sum(v.atom(i).rank for i in sub.component(v.id)) for v in poset}
+    if args.format == "json":
+        _emit_json({**subobject_to_doc(sub), "outer_ranks": ranks})
         return 0
     print(f"outer daseinisation of a rank-{p.rank} projection over {len(poset)} contexts")
     for v in poset:
-        indices = sorted(sub.component(v.id))
-        rank = outer_projection(p, v, config.tolerance).rank
-        print(f"  {v.id}  rank={rank}  points={indices}")
+        print(f"  {v.id}  rank={ranks[v.id]}  points={sorted(sub.component(v.id))}")
     return 0
 
 
 def cmd_das_op(args: argparse.Namespace) -> int:
-    config = _config(args)
-    a = load_matrix(args.operator, config.tolerance)
-    poset = _build_poset_from_files(args.contexts, config)
-    arrow = operator_arrow(a, poset, config.tolerance)
-    if config.fmt == "json":
+    a = load_matrix(args.operator, args.tol)
+    poset = _build_poset_from_files(args.contexts, args)
+    arrow = operator_arrow(a, poset, args.tol)
+    if args.format == "json":
         _emit_json(arrow_to_doc(arrow))
         return 0
     print(f"operator arrow over {len(poset)} contexts")
@@ -143,16 +108,14 @@ def cmd_das_op(args: argparse.Namespace) -> int:
 
 
 def cmd_value(args: argparse.Namespace) -> int:
-    config = _config(args)
-    a = load_matrix(args.operator, config.tolerance)
-    psi = load_vector(args.state, config.tolerance)
-    poset = _build_poset_from_files(args.contexts, config)
-    arrow = operator_arrow(a, poset, config.tolerance)
-    state = pseudo_state(psi, poset, config.tolerance)
-    val = value(arrow, state)
-    report = check_containment(psi, a, poset, config.tolerance)
-    if config.fmt == "json":
-        _emit_json({**value_to_doc(val), "report": report_to_doc(report)})
+    a = load_matrix(args.operator, args.tol)
+    psi = load_vector(args.state, args.tol)
+    poset = _build_poset_from_files(args.contexts, args)
+    arrow = operator_arrow(a, poset, args.tol)
+    state = pseudo_state(psi, poset, args.tol)
+    report = containment_report(arrow, state, psi, a, args.tol)
+    if args.format == "json":
+        _emit_json({**value_to_doc(value(arrow, state)), "report": report_to_doc(report)})
         return 0
     print(f"expectation: {round12(report.expectation):g}")
     for row in report.rows:
@@ -166,11 +129,10 @@ def cmd_value(args: argparse.Namespace) -> int:
 
 
 def cmd_props(args: argparse.Namespace) -> int:
-    config = _config(args)
     dims = tuple(int(d) for d in args.dims.split(","))
-    results = run_all(dims=dims, trials=args.trials, seed=config.seed, tol=config.tolerance)
+    results = run_all(dims=dims, trials=args.trials, seed=args.seed, tol=args.tol)
     failures = sum(r.failures for r in results)
-    if config.fmt == "json":
+    if args.format == "json":
         _emit_json(
             {
                 "suites": [
@@ -197,9 +159,8 @@ def cmd_props(args: argparse.Namespace) -> int:
 
 
 def cmd_spin1_demo(args: argparse.Namespace) -> int:
-    config = _config(args)
-    doc = spin1_demo_doc(config.tolerance)
-    if config.fmt == "json":
+    doc = spin1_demo_doc(args.tol)
+    if args.format == "json":
         _emit_json(doc)
     else:
         print(render_demo(doc))
@@ -272,6 +233,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage problems; usage problems are input errors.
         return 0 if exc.code == 0 else 1
     try:
+        args.tol = resolve_tolerance(args.tol)
         return args.func(args)
     except InternalInvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ that overrides the default for that call.
 
 from __future__ import annotations
 
+import math
 import os
 
 _FACTORY_DEFAULT = 1e-9
@@ -17,12 +18,15 @@ _FACTORY_DEFAULT = 1e-9
 
 def _validated(tol: float) -> float:
     tol = float(tol)
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     return tol
 
 
-_default_tolerance = _validated(os.environ.get("TOPOSQ_TOL", _FACTORY_DEFAULT))
+try:
+    _default_tolerance = _validated(os.environ.get("TOPOSQ_TOL", _FACTORY_DEFAULT))
+except ValueError as exc:
+    raise ValueError(f"TOPOSQ_TOL: {exc}") from None
 
 
 def default_tolerance() -> float:

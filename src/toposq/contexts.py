@@ -300,7 +300,7 @@ class ContextPoset:
     precomputed, so the poset is immutable and cheap to query.
     """
 
-    __slots__ = ("_contexts", "_by_id", "_above", "_restriction")
+    __slots__ = ("_contexts", "_by_id", "_restriction")
 
     def __init__(self, contexts: Iterable[Context], tol: float | None = None):
         tol = resolve_tolerance(tol)
@@ -316,18 +316,17 @@ class ContextPoset:
                 raise MixedDimensionsError(
                     f"contexts of dimension {dim} and {ctx.dim} in one poset"
                 )
-        above: dict[str, set[str]] = {ctx.id: {ctx.id} for ctx in ordered}
-        restriction: dict[tuple[str, str], tuple[int, ...]] = {}
+        # sub_id -> {sup_id: table} for every sup >= sub, the identity first
+        # and then the strict inclusions in id order: the only record of the
+        # order, so leq is one membership test.
+        restriction: dict[str, dict[str, tuple[int, ...]]] = {}
         for sub in ordered:
+            up = restriction[sub.id] = {sub.id: tuple(range(sub.n_atoms))}
             for sup in ordered:
-                if sub.id == sup.id:
-                    continue
-                if includes(sub, sup, tol):
-                    above[sub.id].add(sup.id)
-                    restriction[(sup.id, sub.id)] = _restriction_table(sup, sub, tol)
+                if sub.id != sup.id and includes(sub, sup, tol):
+                    up[sup.id] = _restriction_table(sup, sub, tol)
         self._contexts = ordered
         self._by_id = by_id
-        self._above = {cid: frozenset(ids) for cid, ids in above.items()}
         self._restriction = restriction
 
     @property
@@ -360,7 +359,7 @@ class ContextPoset:
         """Whether sub is included in sup within this poset."""
         sub_id = sub.id if isinstance(sub, Context) else sub
         sup_id = sup.id if isinstance(sup, Context) else sup
-        return sup_id in self._above[sub_id]
+        return sup_id in self._restriction[sub_id]
 
     def down_set(self, v: Context | str) -> tuple[Context, ...]:
         """All poset members included in v (v itself first by id order)."""
@@ -370,10 +369,7 @@ class ContextPoset:
     def strict_pairs(self) -> tuple[tuple[str, str], ...]:
         """All (sub_id, sup_id) pairs with strict inclusion, in id order."""
         return tuple(
-            (sub.id, sup.id)
-            for sub in self._contexts
-            for sup in self._contexts
-            if sub.id != sup.id and self.leq(sub, sup)
+            (sub, sup) for sub, up in self._restriction.items() for sup in up if sup != sub
         )
 
     def restriction_index(
@@ -385,7 +381,7 @@ class ContextPoset:
         if sup_id == sub_id:
             return atom_index
         try:
-            table = self._restriction[(sup_id, sub_id)]
+            table = self._restriction[sub_id][sup_id]
         except KeyError:
             raise KeyError(f"{sub_id} is not included in {sup_id} within this poset")
         return table[atom_index]
@@ -439,8 +435,10 @@ def build_poset(
             for cid in sorted(pool):
                 if cid in coarsened:
                     continue
-                coarsened.add(cid)
+                # A coarsening of a coarsening of v is a coarsening of v, so
+                # everything returned here is already closed.
                 for ctx in coarsenings(pool[cid], tol):
+                    coarsened.add(ctx.id)
                     if ctx.id not in pool:
                         pool[ctx.id] = ctx
                         changed = True

@@ -23,7 +23,7 @@ from .serialization import (
     subobject_to_doc,
     value_to_doc,
 )
-from .states import UnitVector, check_containment, pseudo_state, value
+from .states import UnitVector, containment_report, pseudo_state, value
 
 __all__ = ["spin_z", "spin1_demo_doc", "render_demo"]
 
@@ -97,7 +97,7 @@ def spin1_demo_doc(tol: float | None = None) -> dict:
     psi = UnitVector.basis(3, 1)
     arrow = operator_arrow(sz, poset, tol)
     state = pseudo_state(psi, poset, tol)
-    report = check_containment(psi, sz, poset, tol)
+    report = containment_report(arrow, state, psi, sz, tol)
     return {
         "operator": matrix_to_doc(sz),
         "spectral_family": {

@@ -55,6 +55,8 @@ def _as_square_complex(entries) -> np.ndarray:
         raise NotHermitianError(f"expected a square matrix, got shape {matrix.shape}")
     if matrix.shape[0] == 0:
         raise NotHermitianError("empty matrix")
+    if not np.isfinite(matrix).all():
+        raise NotHermitianError("matrix has a non-finite entry")
     return matrix
 
 

@@ -250,10 +250,11 @@ class ClopenSubobject:
         poset = self._poset
         comps: dict[str, set[int]] = {}
         for v in poset:
+            below = poset.down_set(v)
             keep: set[int] = set()
             for i in range(v.n_atoms):
                 ok = True
-                for w in poset.down_set(v):
+                for w in below:
                     j = poset.restriction_index(v.id, w.id, i)
                     if j in self._components[w.id] and j not in other._components[w.id]:
                         ok = False

@@ -3,8 +3,9 @@
 The pseudo-state of a unit vector is the daseinised rank-1 projector onto it.
 Pairing an operator arrow with a pseudo-state collects, per context, the
 OrderPairs of the points in the pseudo-state component: the generalised value.
-check_containment compares every interval of every such pair against the
-ordinary expectation value and reports violations as data, never as errors.
+containment_report compares every interval of every such pair against the
+ordinary expectation value and reports violations as data, never as errors;
+check_containment builds the arrow and the pseudo-state and then does the same.
 
 Only vector states are supported; density matrices are rejected at parse time.
 """
@@ -35,6 +36,7 @@ __all__ = [
     "pseudo_state",
     "value",
     "expectation",
+    "containment_report",
     "check_containment",
 ]
 
@@ -49,6 +51,8 @@ class UnitVector:
         vec = np.array(amplitudes, dtype=np.complex128)
         if vec.ndim != 1 or vec.size == 0:
             raise NotNormalizedError(f"expected a nonempty vector, got shape {vec.shape}")
+        if not np.isfinite(vec).all():
+            raise NotNormalizedError("vector has a non-finite amplitude")
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > tol:
             raise NotNormalizedError(f"vector norm is {norm!r}, not 1 within {tol:g}")
@@ -197,26 +201,28 @@ class ContainmentReport:
         return f"ContainmentReport(expectation={self._expectation:g}, {status})"
 
 
-def check_containment(
+def containment_report(
+    arrow: OperatorArrow,
+    state: ClopenSubobject,
     psi: UnitVector,
     a: HermitianOperator,
-    poset: ContextPoset,
     tol: float | None = None,
 ) -> ContainmentReport:
-    """Check whether every interval of the generalised value contains the
-    expectation value <psi|a|psi>.
+    """Check whether every interval of the value of ``arrow`` on ``state``
+    contains the expectation value <psi|a|psi>.
 
-    Every point of every pseudo-state component contributes one row with its
-    full interval family; an interval [mu, nu] counts as containing the
-    expectation when mu - tol <= <a> <= nu + tol. Violations are data in the
-    report, not exceptions.
+    ``arrow`` must be the arrow of ``a`` and ``state`` the pseudo-state of
+    ``psi``, over the same poset. Every point of every pseudo-state component
+    contributes one row with its full interval family; an interval [mu, nu]
+    counts as containing the expectation when mu - tol <= <a> <= nu + tol.
+    Violations are data in the report, not exceptions.
     """
+    if arrow.poset.signature != state.poset.signature:
+        raise PosetMismatchError("arrow and pseudo-state live over different posets")
     tol = resolve_tolerance(tol)
-    arrow = operator_arrow(a, poset, tol)
-    state = pseudo_state(psi, poset, tol)
     expected = expectation(psi, a)
     rows = []
-    for v in poset:
+    for v in arrow.poset:
         for index in sorted(state.component(v.id)):
             pair = arrow.pair(v.id, index)
             bad = tuple(
@@ -233,3 +239,17 @@ def check_containment(
                 )
             )
     return ContainmentReport(expected, tuple(rows), tol)
+
+
+def check_containment(
+    psi: UnitVector,
+    a: HermitianOperator,
+    poset: ContextPoset,
+    tol: float | None = None,
+) -> ContainmentReport:
+    """containment_report for the arrow of a and the pseudo-state of psi,
+    both built here over poset."""
+    tol = resolve_tolerance(tol)
+    arrow = operator_arrow(a, poset, tol)
+    state = pseudo_state(psi, poset, tol)
+    return containment_report(arrow, state, psi, a, tol)

@@ -7,6 +7,10 @@ output), never byte-for-byte on formatted floats.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ import pytest
 from toposq.cli import main
 from toposq.serialization import (
     context_to_doc,
+    load_context,
+    load_projection,
     matrix_to_doc,
     vector_to_doc,
 )
@@ -21,7 +27,9 @@ from toposq import (
     HermitianOperator,
     Projection,
     UnitVector,
+    build_poset,
     context_from_atoms,
+    outer_projection,
 )
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -105,6 +113,11 @@ def test_das_proj(files, capsys):
     for cid, indices in doc["components"].items():
         assert len(indices) == 1  # every outer approximation is one atom here
     assert set(doc["outer_ranks"].values()) <= {1, 2}
+    p = load_projection(files["proj"])
+    poset = build_poset(
+        [load_context(files["eigen"]), load_context(files["shared"])], close_coarsening=True
+    )
+    assert doc["outer_ranks"] == {v.id: outer_projection(p, v).rank for v in poset}
 
 
 def test_das_op_worked_intervals(files, capsys):
@@ -154,6 +167,36 @@ def test_value_table_mentions_containment(files, capsys):
     )
     assert code == 0
     assert "containment: ok" in out
+
+
+def test_value_and_demo_build_arrow_and_state_once(files, capsys, monkeypatch):
+    import toposq.cli
+    import toposq.demo
+    import toposq.states
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (toposq.cli, toposq.demo, toposq.states):
+        for name in ("operator_arrow", "pseudo_state"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    routes = {
+        "value": lambda: run(
+            capsys, "value", files["op"], files["state"], "--contexts", files["eigen"],
+            "--close-coarsening", "--format", "json",
+        ),
+        "spin1_demo_doc": toposq.demo.spin1_demo_doc,
+    }
+    for route, call in routes.items():
+        calls.clear()
+        call()
+        assert calls == {"operator_arrow": 1, "pseudo_state": 1}, route
 
 
 def test_props_small_run(files, capsys):
@@ -244,6 +287,24 @@ def test_nonpositive_tolerance_is_input_error(files, capsys):
     code, _, err = run(capsys, "contexts", files["eigen"], "--tol", "-1")
     assert code == 1
     assert "tolerance" in err
+
+
+def test_infinite_tolerance_is_input_error(files, capsys):
+    code, _, err = run(capsys, "contexts", files["eigen"], "--tol", "inf")
+    assert code == 1
+    assert "tolerance" in err
+
+
+def test_malformed_tolerance_environment_names_the_variable():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import toposq"],
+        env={**os.environ, "TOPOSQ_TOL": "abc"},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode != 0
+    assert "TOPOSQ_TOL" in proc.stderr.strip().splitlines()[-1]
 
 
 def test_mixed_dimension_contexts_is_input_error(files, capsys):

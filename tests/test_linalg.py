@@ -96,6 +96,14 @@ def test_hermitian_rejects_nonsquare():
         HermitianOperator(np.zeros((2, 3)))
 
 
+def test_hermitian_and_projection_reject_nan_entries():
+    entries = np.diag([1.0, 0.0])
+    entries[0, 1] = np.nan
+    for cls in (HermitianOperator, Projection):
+        with pytest.raises(NotHermitianError, match="non-finite"):
+            cls(entries)
+
+
 def test_projection_rejects_non_idempotent():
     with pytest.raises(NotAProjectionError):
         Projection(np.diag([0.5, 0.5]))

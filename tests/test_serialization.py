@@ -92,6 +92,14 @@ def test_vector_doc_rejects_bad_norm():
         vector_from_doc({"dim": 2, "amplitudes": [[1.0, 0.0], [1.0, 0.0]]})
 
 
+def test_vector_doc_rejects_nan_literal():
+    from toposq import NotNormalizedError
+
+    doc = json.loads('{"dim": 2, "amplitudes": [[NaN, 0.0], [0.0, 0.0]]}')
+    with pytest.raises(NotNormalizedError):
+        vector_from_doc(doc)
+
+
 def test_context_round_trip_preserves_id():
     v = random_maximal_context(3, rng_for(93))
     doc = context_to_doc(v)

@@ -17,6 +17,7 @@ from toposq import (
     check_containment,
     context_from_atoms,
     context_from_operator,
+    containment_report,
     expectation,
     operator_arrow,
     pseudo_state,
@@ -31,6 +32,11 @@ def test_unit_vector_validation():
     psi = UnitVector.basis(3, 1)
     assert psi.dim == 3
     assert psi.projector().isclose(Projection(np.diag([0.0, 1.0, 0.0])))
+
+
+def test_unit_vector_rejects_nan():
+    with pytest.raises(NotNormalizedError):
+        UnitVector([np.nan, 0.0, 0.0])
 
 
 def test_unit_vector_accepts_phases():
@@ -127,9 +133,11 @@ def test_value_on_top_subobject(sz, spin_poset, eigen_context):
 def test_value_requires_same_poset(sz, spin_poset, eigen_context):
     other = build_poset([eigen_context])
     arrow = operator_arrow(sz, other)
-    w = pseudo_state(UnitVector.basis(3, 1), spin_poset)
-    with pytest.raises(PosetMismatchError):
-        value(arrow, w)
+    psi = UnitVector.basis(3, 1)
+    w = pseudo_state(psi, spin_poset)
+    for apply in (value, lambda arr, st: containment_report(arr, st, psi, sz)):
+        with pytest.raises(PosetMismatchError):
+            apply(arrow, w)
 
 
 def test_value_nonempty_where_state_nonempty(sz):
