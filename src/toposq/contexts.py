@@ -412,7 +412,9 @@ def build_poset(
 
     With close_coarsening, every coarsening of every member is added; with
     close_intersection, pairwise intersections (when nontrivial) are added;
-    both run to a fixed point. No upward closure is ever performed.
+    both run to a fixed point over one worklist, in which each context is
+    coarsened at most once and intersected once with every context taken
+    before it. No upward closure is ever performed.
     """
     tol = resolve_tolerance(tol)
     pool: dict[str, Context] = {}
@@ -427,30 +429,23 @@ def build_poset(
         pool.setdefault(seed.id, seed)
     if not pool:
         raise ValueError("build_poset needs at least one seed context")
+    taken = [pool[cid] for cid in sorted(pool)]  # the worklist, seeds first
     coarsened: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        if close_coarsening:
-            for cid in sorted(pool):
-                if cid in coarsened:
-                    continue
-                # A coarsening of a coarsening of v is a coarsening of v, so
-                # everything returned here is already closed.
-                for ctx in coarsenings(pool[cid], tol):
-                    coarsened.add(ctx.id)
-                    if ctx.id not in pool:
-                        pool[ctx.id] = ctx
-                        changed = True
+    for k, v in enumerate(taken):  # taken grows while it is walked
+        found: list[Context] = []
+        if close_coarsening and v.id not in coarsened:
+            # A coarsening of a coarsening of v is a coarsening of v, so
+            # everything returned here is already closed.
+            found += coarsenings(v, tol)
+            coarsened.update(ctx.id for ctx in found)
         if close_intersection:
-            snapshot = [pool[cid] for cid in sorted(pool)]
-            for i in range(len(snapshot)):
-                for j in range(i + 1, len(snapshot)):
-                    try:
-                        ctx = intersect(snapshot[i], snapshot[j], tol)
-                    except TrivialIntersectionError:
-                        continue
-                    if ctx.id not in pool:
-                        pool[ctx.id] = ctx
-                        changed = True
+            for u in taken[:k]:
+                try:
+                    found.append(intersect(u, v, tol))
+                except TrivialIntersectionError:
+                    pass
+        for ctx in found:
+            if ctx.id not in pool:
+                pool[ctx.id] = ctx
+                taken.append(ctx)
     return ContextPoset(pool.values(), tol)

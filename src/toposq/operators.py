@@ -96,7 +96,7 @@ class PrincipalFilter:
     __slots__ = ("_generator", "_context")
 
     def __init__(self, generator: Projection, context: Context | None = None):
-        if operator_norm(generator.matrix) == 0.0:
+        if generator.rank == 0:
             raise ValueError("filter generator must be a nonzero projection")
         if context is not None and generator.dim != context.dim:
             raise DimensionMismatchError(

@@ -303,37 +303,34 @@ class ClopenSubobject:
 def global_sections(poset: ContextPoset) -> list[dict[str, GelfandPoint]]:
     """All choices of one point per context compatible with every restriction.
 
-    Depth-first search over contexts in order of descending atom count, with
-    constraint propagation against everything already assigned: an assignment
-    must restrict to the chosen point at every smaller context and be the
-    restriction image of the choice at every larger one.
+    Every context lies below a maximal one, so a section is fixed by its points
+    at the maximal contexts. Depth-first search picks a point at each maximal
+    context in turn and propagates it through the restriction tables to its
+    whole down-set; a pick survives when it agrees with every point that the
+    earlier picks already fixed.
     """
-    order = sorted(poset, key=lambda c: (-c.n_atoms, c.id))
-    assigned: dict[str, int] = {}
+    covered = {sub for sub, _ in poset.strict_pairs()}
+    # Per maximal context and point: the point it fixes at each context below.
+    images = [
+        [{w.id: poset.restriction_index(v, w, i) for w in poset.down_set(v)}
+         for i in range(v.n_atoms)]
+        for v in poset
+        if v.id not in covered
+    ]
+    fixed: dict[str, int] = {}
     sections: list[dict[str, GelfandPoint]] = []
 
-    def compatible(v: Context, index: int) -> bool:
-        for other_id, other_index in assigned.items():
-            if poset.leq(other_id, v.id) and other_id != v.id:
-                if poset.restriction_index(v.id, other_id, index) != other_index:
-                    return False
-            if poset.leq(v.id, other_id) and other_id != v.id:
-                if poset.restriction_index(other_id, v.id, other_index) != index:
-                    return False
-        return True
-
     def dfs(k: int) -> None:
-        if k == len(order):
-            sections.append(
-                {cid: GelfandPoint(poset.get(cid), i) for cid, i in assigned.items()}
-            )
+        if k == len(images):
+            sections.append({c.id: GelfandPoint(c, fixed[c.id]) for c in poset})
             return
-        v = order[k]
-        for index in range(v.n_atoms):
-            if compatible(v, index):
-                assigned[v.id] = index
+        for image in images[k]:
+            if all(fixed.get(cid, j) == j for cid, j in image.items()):
+                added = image.keys() - fixed.keys()
+                fixed.update(image)
                 dfs(k + 1)
-                del assigned[v.id]
+                for cid in added:
+                    del fixed[cid]
 
     dfs(0)
     return sections

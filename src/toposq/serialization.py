@@ -70,10 +70,18 @@ def _pair_to_complex(pair, where: str) -> complex:
     if (
         not isinstance(pair, (list, tuple))
         or len(pair) != 2
-        or not all(isinstance(x, (int, float)) for x in pair)
+        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
     ):
         raise ParseError(f"{where}: expected a [re, im] number pair, got {pair!r}")
     return complex(pair[0], pair[1])
+
+
+def _dim_and(doc: dict, key: str, kind: str) -> tuple[int, Any]:
+    """The integer 'dim' of a document and its entry under key."""
+    dim = doc.get("dim")
+    if not isinstance(dim, int) or isinstance(dim, bool) or key not in doc:
+        raise ParseError(f"{kind} document needs integer 'dim' and '{key}', got dim {dim!r}")
+    return dim, doc[key]
 
 
 def matrix_from_doc(doc: Any, tol: float | None = None) -> HermitianOperator:
@@ -82,11 +90,7 @@ def matrix_from_doc(doc: Any, tol: float | None = None) -> HermitianOperator:
         raise ParseError(f"matrix document must be an object, got {type(doc).__name__}")
     if "amplitudes" in doc and "entries" not in doc:
         raise ParseError("found a vector document where a matrix was expected")
-    try:
-        dim = int(doc["dim"])
-        rows = doc["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"matrix document needs integer 'dim' and 'entries': {exc}") from exc
+    dim, rows = _dim_and(doc, "entries", "matrix")
     if not isinstance(rows, list) or len(rows) != dim:
         raise ParseError(f"'entries' must be a list of {dim} rows")
     matrix = np.empty((dim, dim), dtype=np.complex128)
@@ -125,11 +129,7 @@ def vector_from_doc(doc: Any, tol: float | None = None) -> UnitVector:
             "density matrices (mixed states) are not supported; "
             "provide a unit vector document with 'amplitudes'"
         )
-    try:
-        dim = int(doc["dim"])
-        amps = doc["amplitudes"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"vector document needs integer 'dim' and 'amplitudes': {exc}") from exc
+    dim, amps = _dim_and(doc, "amplitudes", "vector")
     if not isinstance(amps, list) or len(amps) != dim:
         raise ParseError(f"'amplitudes' must be a list of {dim} [re, im] pairs")
     vec = np.empty(dim, dtype=np.complex128)

@@ -246,6 +246,9 @@ def test_filter_injectivity_per_context(eigen_context):
 def test_filter_rejects_zero_generator():
     with pytest.raises(ValueError):
         PrincipalFilter(Projection.zero(3))
+    # Zero within tolerance: a valid projection of rank 0, but not a generator.
+    with pytest.raises(ValueError):
+        PrincipalFilter(Projection(1e-12 * np.eye(3)))
 
 
 def test_context_filter_membership_stays_in_lattice(eigen_context):

@@ -1,6 +1,7 @@
 """Gel'fand spectra, restriction maps, clopen subobjects, Heyting structure.
 
-Global sections are compared against a plain itertools.product oracle, and the
+Global sections are compared against a plain itertools.product oracle and
+checked on known answers (the Kochen-Specker Peres set has none), and the
 Heyting adjunction is enumerated exhaustively on small posets so the implies
 formula is pinned by an independent definition of "compatible choice".
 """
@@ -58,6 +59,22 @@ def global_sections_oracle(poset):
                 {c.id: choice[k] for k, c in enumerate(ctxs)}
             )
     return out
+
+
+def peres_bases():
+    """The 24 orthogonal bases of the Peres 24-ray set in C^4, as contexts.
+
+    Rays are the {0, +-1}^4 vectors with 1, 2 or 4 nonzero entries whose first
+    nonzero entry is +1, in lexicographic order; a basis is any four pairwise
+    orthogonal rays, and bases come in lexicographic order.
+    """
+    rays = [
+        np.array(r, dtype=float)
+        for r in sorted(product((0, 1, -1), repeat=4))
+        if np.count_nonzero(r) in (1, 2, 4) and next(x for x in r if x) == 1
+    ]
+    bases = [b for b in combinations(rays, 4) if all(p @ q == 0 for p, q in combinations(b, 2))]
+    return [context_from_atoms([Projection.onto(r) for r in b]) for b in bases]
 
 
 def all_subobjects(poset):
@@ -373,14 +390,21 @@ def test_global_sections_chain(spin_poset):
 
 def test_global_sections_random_posets_match_oracle():
     rng = rng_for(45)
-    for trial in range(8):
-        poset = random_poset(
+    posets = [
+        random_poset(
             3,
             rng,
             n_seeds=2,
             close_coarsening=True,
             close_intersection=bool(trial % 2),
         )
+        for trial in range(8)
+    ]
+    # The first three Peres bases: 6 contexts in C^4 that share subcontexts.
+    peres_prefix = build_poset(peres_bases()[:3], close_intersection=True)
+    assert len(peres_prefix) == 6
+    assert len(global_sections(peres_prefix)) == 9
+    for poset in posets + [peres_prefix]:
         secs = global_sections(poset)
         oracle = global_sections_oracle(poset)
         got = {
@@ -388,3 +412,23 @@ def test_global_sections_random_posets_match_oracle():
         }
         want = {tuple(sorted(s.items())) for s in oracle}
         assert got == want
+
+
+def test_global_sections_peres_set_has_none():
+    # Kochen-Specker: the Peres set admits no global value assignment.
+    bases = peres_bases()
+    assert len(bases) == 24
+    poset = build_poset(bases, close_intersection=True)
+    assert len(poset) == 93
+    assert global_sections(poset) == []
+
+
+def test_global_sections_commuting_control():
+    # One maximal context: a section is a choice of one of its 4 atoms.
+    v = random_maximal_context(4, rng_for(46))
+    poset = build_poset([v], close_coarsening=True)
+    secs = global_sections(poset)
+    assert len(secs) == 4
+    assert sorted(s[v.id].index for s in secs) == [0, 1, 2, 3]
+    for s in secs:
+        assert set(s) == set(poset.signature)

@@ -60,6 +60,15 @@ def test_matrix_doc_shape_errors():
     # A vector document is not a matrix document.
     with pytest.raises(ParseError):
         matrix_from_doc({"dim": 2, "amplitudes": [[1, 0], [0, 0]]})
+    # JSON booleans are not numbers, and 'dim' must be an integer as written.
+    # Each document below is well formed once its numbers are coerced.
+    with pytest.raises(ParseError):
+        matrix_from_doc({"dim": 2, "entries": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]})
+    for dim in (2.7, "2", True):
+        n = int(dim)
+        entries = [[[float(i == j), 0] for j in range(n)] for i in range(n)]
+        with pytest.raises(ParseError):
+            matrix_from_doc({"dim": dim, "entries": entries})
 
 
 def test_projection_from_doc_validates():
@@ -90,6 +99,13 @@ def test_vector_doc_rejects_bad_norm():
 
     with pytest.raises(NotNormalizedError):
         vector_from_doc({"dim": 2, "amplitudes": [[1.0, 0.0], [1.0, 0.0]]})
+    # A boolean amplitude or a non-integer 'dim' fails as a parse error.
+    with pytest.raises(ParseError):
+        vector_from_doc({"dim": 2, "amplitudes": [[True, 0], [0, False]]})
+    for dim in (2.7, "2", True):
+        amplitudes = [[1, 0]] + [[0, 0]] * (int(dim) - 1)
+        with pytest.raises(ParseError):
+            vector_from_doc({"dim": dim, "amplitudes": amplitudes})
 
 
 def test_vector_doc_rejects_nan_literal():
