@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .config import resolve_tolerance
+from .config import ID_DECIMALS, PARTITION_SLACK, resolve_tolerance
 from .errors import (
     DimensionMismatchError,
     InternalInvariantViolation,
@@ -32,6 +32,7 @@ from .linalg import (
     eigenstructure,
     operator_norm,
     proj_leq,
+    require_same_dim,
     sum_of_projections,
 )
 
@@ -47,14 +48,32 @@ __all__ = [
     "dominating_atom_index",
 ]
 
-_ID_DECIMALS = 6
-
 
 def _atom_sort_key(p: Projection) -> bytes:
-    # Rounding kills jitter below ~1e-7; adding complex zero maps -0.0 to +0.0
+    # Rounding kills numerical jitter; adding complex zero maps -0.0 to +0.0
     # in both components so the byte encoding is unique.
-    rounded = np.round(p.matrix, _ID_DECIMALS) + (0.0 + 0.0j)
+    rounded = np.round(p.matrix, ID_DECIMALS) + (0.0 + 0.0j)
     return rounded.tobytes()
+
+
+def _sums_to(
+    parts: Sequence[Projection], target: np.ndarray, tol: float
+) -> tuple[bool, float]:
+    """Whether the parts sum to target within max(tol, PARTITION_SLACK * k),
+    k the number of parts (at least 1), and the defect ||sum - target||."""
+    total = np.zeros(target.shape, dtype=np.complex128)
+    for part in parts:
+        total = total + part.matrix
+    defect = operator_norm(total - target)
+    return defect <= max(tol, PARTITION_SLACK * max(len(parts), 1)), defect
+
+
+def checked_index(index, n_atoms: int) -> int:
+    """index as an int; ValueError unless it is a non-bool integer in [0, n_atoms)."""
+    integer = isinstance(index, (int, np.integer)) and not isinstance(index, bool)
+    if not (integer and 0 <= index < n_atoms):
+        raise ValueError(f"atom index {index!r} is not an integer in [0, {n_atoms})")
+    return int(index)
 
 
 class Context:
@@ -90,11 +109,8 @@ class Context:
                     raise NotAPartitionError(
                         f"atoms {i} and {j} are not orthogonal (||PQ|| = {overlap:.3e})"
                     )
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for atom in atoms:
-            total = total + atom.matrix
-        defect = operator_norm(total - np.eye(dim))
-        if defect > max(tol, 1e-10 * len(atoms)):
+        ok, defect = _sums_to(atoms, np.eye(dim), tol)
+        if not ok:
             raise NotAPartitionError(
                 f"atoms do not sum to the identity (defect {defect:.3e})"
             )
@@ -135,8 +151,7 @@ class Context:
     ) -> np.ndarray | None:
         """Coefficients of ``a`` over the atoms, or None if a is not in the span."""
         tol = resolve_tolerance(tol)
-        if a.dim != self.dim:
-            raise DimensionMismatchError(f"dimensions differ: {a.dim} vs {self.dim}")
+        require_same_dim(a, self)
         coeffs = np.empty(len(self._atoms), dtype=np.float64)
         residual = np.array(a.matrix)
         for i, atom in enumerate(self._atoms):
@@ -148,16 +163,23 @@ class Context:
             return None
         return coeffs
 
+    def atoms_below(self, p: Projection, tol: float | None = None) -> tuple[int, ...]:
+        """Indices of the atoms Q <= p; their sum is the largest projection of
+        the context below p."""
+        tol = resolve_tolerance(tol)
+        require_same_dim(p, self)
+        return tuple(i for i, a in enumerate(self._atoms) if proj_leq(a, p, tol))
+
+    def decompose(self, p: Projection, tol: float | None = None) -> tuple[int, ...] | None:
+        """Indices of the atoms summing to p, or None when p is not a sum of atoms."""
+        tol = resolve_tolerance(tol)
+        below = self.atoms_below(p, tol)
+        ok, _ = _sums_to([self._atoms[i] for i in below], p.matrix, tol)
+        return below if ok else None
+
     def contains_projection(self, p: Projection, tol: float | None = None) -> bool:
         """Whether p belongs to the context, i.e. is a sum of atoms."""
-        tol = resolve_tolerance(tol)
-        if p.dim != self.dim:
-            raise DimensionMismatchError(f"dimensions differ: {p.dim} vs {self.dim}")
-        selected = [a for a in self._atoms if proj_leq(a, p, tol)]
-        total = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for atom in selected:
-            total = total + atom.matrix
-        return operator_norm(total - p.matrix) <= max(tol, 1e-10 * max(len(selected), 1))
+        return self.decompose(p, tol) is not None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Context):
@@ -191,20 +213,12 @@ def context_from_operator(a: HermitianOperator, tol: float | None = None) -> Con
 def includes(sub: Context, sup: Context, tol: float | None = None) -> bool:
     """Whether sub is included in sup (every atom of sub is a sum of sup atoms)."""
     tol = resolve_tolerance(tol)
-    if sub.dim != sup.dim:
-        raise DimensionMismatchError(f"dimensions differ: {sub.dim} vs {sup.dim}")
+    require_same_dim(sub, sup)
     if sub.id == sup.id:
         return True
     if sub.n_atoms > sup.n_atoms:
         return False
-    for coarse in sub.atoms:
-        total = np.zeros((sub.dim, sub.dim), dtype=np.complex128)
-        for fine in sup.atoms:
-            if proj_leq(fine, coarse, tol):
-                total = total + fine.matrix
-        if operator_norm(total - coarse.matrix) > max(tol, 1e-10 * sup.n_atoms):
-            return False
-    return True
+    return all(sup.contains_projection(q, tol) for q in sub.atoms)
 
 
 def _set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -251,8 +265,7 @@ def intersect(v: Context, w: Context, tol: float | None = None) -> Context:
     only common projection is the identity.
     """
     tol = resolve_tolerance(tol)
-    if v.dim != w.dim:
-        raise DimensionMismatchError(f"dimensions differ: {v.dim} vs {w.dim}")
+    require_same_dim(v, w)
     nv, nw = v.n_atoms, w.n_atoms
     parent = list(range(nv + nw))
 
@@ -375,16 +388,16 @@ class ContextPoset:
     def restriction_index(
         self, sup: Context | str, sub: Context | str, atom_index: int
     ) -> int:
-        """Map a point index of sup to the index of its image point in sub."""
+        """Map a point index of sup to the index of its image point in sub.
+
+        Raises ValueError unless atom_index is a non-bool integer in range."""
         sup_id = sup.id if isinstance(sup, Context) else sup
         sub_id = sub.id if isinstance(sub, Context) else sub
-        if sup_id == sub_id:
-            return atom_index
         try:
             table = self._restriction[sub_id][sup_id]
         except KeyError:
             raise KeyError(f"{sub_id} is not included in {sup_id} within this poset")
-        return table[atom_index]
+        return table[checked_index(atom_index, len(table))]
 
     def __repr__(self) -> str:
         return f"ContextPoset(dim={self.dim}, n_contexts={len(self._contexts)})"
@@ -414,7 +427,9 @@ def build_poset(
     close_intersection, pairwise intersections (when nontrivial) are added;
     both run to a fixed point over one worklist, in which each context is
     coarsened at most once and intersected once with every context taken
-    before it. No upward closure is ever performed.
+    before it. With both, the intersection pass is skipped: an intersection
+    is a coarsening of either side and so already in the pool. No upward
+    closure is ever performed.
     """
     tol = resolve_tolerance(tol)
     pool: dict[str, Context] = {}
@@ -438,7 +453,7 @@ def build_poset(
             # everything returned here is already closed.
             found += coarsenings(v, tol)
             coarsened.update(ctx.id for ctx in found)
-        if close_intersection:
+        if close_intersection and not close_coarsening:
             for u in taken[:k]:
                 try:
                     found.append(intersect(u, v, tol))

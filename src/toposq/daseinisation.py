@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from .config import resolve_tolerance
 from .contexts import Context, ContextPoset
-from .errors import DimensionMismatchError
-from .linalg import Projection, operator_norm, proj_leq
+from .linalg import Projection, operator_norm, require_same_dim
 from .presheaf import ClopenSubobject
 
 __all__ = [
@@ -24,17 +23,12 @@ __all__ = [
 ]
 
 
-def _require_dim(p: Projection, v: Context) -> None:
-    if p.dim != v.dim:
-        raise DimensionMismatchError(f"dimensions differ: {p.dim} vs {v.dim}")
-
-
 def outer_component_indices(
     p: Projection, v: Context, tol: float | None = None
 ) -> tuple[int, ...]:
     """Indices of the atoms of v not orthogonal to p."""
     tol = resolve_tolerance(tol)
-    _require_dim(p, v)
+    require_same_dim(p, v)
     return tuple(
         i for i, atom in enumerate(v.atoms) if operator_norm(atom.matrix @ p.matrix) > tol
     )
@@ -47,10 +41,7 @@ def outer_projection(p: Projection, v: Context, tol: float | None = None) -> Pro
 
 def inner_projection(p: Projection, v: Context, tol: float | None = None) -> Projection:
     """Largest projection of v below p (sum of the atoms dominated by p)."""
-    tol = resolve_tolerance(tol)
-    _require_dim(p, v)
-    indices = [i for i, atom in enumerate(v.atoms) if proj_leq(atom, p, tol)]
-    return v.sum_of_atoms(indices, tol)
+    return v.sum_of_atoms(v.atoms_below(p, tol), tol)
 
 
 def daseinise_projection(

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import resolve_tolerance
+from .config import QR_RANK_CUT, SNAP_FLOOR, resolve_tolerance
 from .errors import (
     DimensionMismatchError,
     InvalidFamilyError,
@@ -132,7 +132,7 @@ class Projection(HermitianOperator):
         if cols.ndim == 1:
             cols = cols[:, None]
         q, r = np.linalg.qr(cols)
-        keep = np.abs(np.diag(r)) > 1e-12
+        keep = np.abs(np.diag(r)) > QR_RANK_CUT
         basis = q[:, keep]
         return cls(basis @ basis.conj().T, tol)
 
@@ -159,7 +159,7 @@ def canonical_projection(matrix: np.ndarray, tol: float | None = None) -> Projec
         raise NotAProjectionError("matrix is too far from self-adjoint to canonicalize")
     values, vectors = np.linalg.eigh(herm)
     snapped = np.where(values > 0.5, 1.0, 0.0)
-    if float(np.max(np.abs(values - snapped))) > max(tol, 1e-7):
+    if float(np.max(np.abs(values - snapped))) > max(tol, SNAP_FLOOR):
         raise NotAProjectionError("eigenvalues are not close to {0, 1}")
     basis = vectors[:, snapped > 0.5]
     return Projection(basis @ basis.conj().T)
@@ -187,6 +187,17 @@ class EigenStructure:
         return HermitianOperator(acc)
 
 
+def clusters(values: Sequence[float], tol: float) -> list[list[int]]:
+    """Split ascending values into runs of indices, starting a new run where a
+    value exceeds its predecessor by more than tol."""
+    runs: list[list[int]] = [[0]]
+    for i in range(1, len(values)):
+        if values[i] - values[i - 1] > tol:
+            runs.append([])
+        runs[-1].append(i)
+    return runs
+
+
 def eigenstructure(a: HermitianOperator, tol: float | None = None) -> EigenStructure:
     """Distinct eigenvalues (ascending) and their spectral projections.
 
@@ -196,22 +207,17 @@ def eigenstructure(a: HermitianOperator, tol: float | None = None) -> EigenStruc
     """
     tol = resolve_tolerance(tol)
     values, vectors = np.linalg.eigh(a.matrix)
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, len(values)):
-        if values[i] - values[clusters[-1][-1]] > tol:
-            clusters.append([i])
-        else:
-            clusters[-1].append(i)
     eigenvalues = []
     projections = []
-    for cluster in clusters:
+    for cluster in clusters(values, tol):
         eigenvalues.append(float(np.mean(values[cluster])))
         basis = vectors[:, cluster]
         projections.append(Projection(basis @ basis.conj().T))
     return EigenStructure(tuple(eigenvalues), tuple(projections))
 
 
-def _require_same_dim(p: HermitianOperator, q: HermitianOperator) -> None:
+def require_same_dim(p, q) -> None:
+    """Raise DimensionMismatchError unless p and q (anything with a dim) agree."""
     if p.dim != q.dim:
         raise DimensionMismatchError(f"dimensions differ: {p.dim} vs {q.dim}")
 
@@ -219,7 +225,7 @@ def _require_same_dim(p: HermitianOperator, q: HermitianOperator) -> None:
 def proj_leq(p: Projection, q: Projection, tol: float | None = None) -> bool:
     """Projection order: P <= Q iff QP = P within tolerance."""
     tol = resolve_tolerance(tol)
-    _require_same_dim(p, q)
+    require_same_dim(p, q)
     return operator_norm(q.matrix @ p.matrix - p.matrix) <= tol
 
 
@@ -229,7 +235,7 @@ def proj_meet(p: Projection, q: Projection, tol: float | None = None) -> Project
     Computed as the spectral projector of P + Q onto eigenvalue 2.
     """
     tol = resolve_tolerance(tol)
-    _require_same_dim(p, q)
+    require_same_dim(p, q)
     values, vectors = np.linalg.eigh(p.matrix + q.matrix)
     basis = vectors[:, values >= 2.0 - tol]
     return Projection(basis @ basis.conj().T)
@@ -241,7 +247,7 @@ def proj_join(p: Projection, q: Projection, tol: float | None = None) -> Project
     Computed as the support projection of P + Q.
     """
     tol = resolve_tolerance(tol)
-    _require_same_dim(p, q)
+    require_same_dim(p, q)
     values, vectors = np.linalg.eigh(p.matrix + q.matrix)
     basis = vectors[:, values > tol]
     return Projection(basis @ basis.conj().T)
@@ -286,7 +292,7 @@ class SpectralFamily:
         for i, step in enumerate(steps):
             if not proj_leq(prev, step, tol):
                 raise InvalidFamilyError(f"step {i} is not above its predecessor")
-            if operator_norm(step.matrix - prev.matrix) <= tol:
+            if step.isclose(prev, tol):
                 raise InvalidFamilyError(f"step {i} equals its predecessor")
             prev = step
         if operator_norm(steps[-1].matrix - np.eye(dim)) > tol:

@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import resolve_tolerance
+from .config import ORDER_PAIR_SLACK, resolve_tolerance
 from .contexts import Context, ContextPoset
 from .daseinisation import inner_projection, outer_projection
 from .errors import (
@@ -33,9 +33,10 @@ from .linalg import (
     HermitianOperator,
     Projection,
     SpectralFamily,
+    clusters,
     from_spectral_family,
-    operator_norm,
     proj_leq,
+    require_same_dim,
     spectral_family,
 )
 from .presheaf import GelfandPoint, evaluate, restrict, spectrum
@@ -67,20 +68,14 @@ def spectral_leq(a: HermitianOperator, b: HermitianOperator, tol: float | None =
     sub-tolerance eigenvalue noise cannot manufacture a violation.
     """
     tol = resolve_tolerance(tol)
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimensions differ: {a.dim} vs {b.dim}")
+    require_same_dim(a, b)
     fa = spectral_family(a, tol)
     fb = spectral_family(b, tol)
     grid = sorted(set(fa.thresholds) | set(fb.thresholds))
-    clusters: list[list[float]] = [[grid[0]]]
-    for t in grid[1:]:
-        if t - clusters[-1][-1] <= tol:
-            clusters[-1].append(t)
-        else:
-            clusters.append([t])
-    samples = [cluster[-1] for cluster in clusters]
-    for left, right in zip(clusters, clusters[1:]):
-        samples.append((left[-1] + right[0]) / 2.0)
+    runs = clusters(grid, tol)
+    samples = [grid[run[-1]] for run in runs]
+    for left, right in zip(runs, runs[1:]):
+        samples.append((grid[left[-1]] + grid[right[0]]) / 2.0)
     return all(
         proj_leq(fb.value_at(r), fa.value_at(r), tol) for r in samples
     )
@@ -150,8 +145,7 @@ def antonymous(a: HermitianOperator, f: PrincipalFilter, tol: float | None = Non
     the co-step is 0 and the generator is nonzero.
     """
     tol = resolve_tolerance(tol)
-    if a.dim != f.generator.dim:
-        raise DimensionMismatchError(f"dimensions differ: {a.dim} vs {f.generator.dim}")
+    require_same_dim(a, f.generator)
     family = spectral_family(a, tol)
     identity = np.eye(a.dim, dtype=np.complex128)
     gen = f.generator
@@ -167,8 +161,7 @@ def observable(a: HermitianOperator, f: PrincipalFilter, tol: float | None = Non
     dominates the generator. The last step is the identity, so the scan
     cannot fall through."""
     tol = resolve_tolerance(tol)
-    if a.dim != f.generator.dim:
-        raise DimensionMismatchError(f"dimensions differ: {a.dim} vs {f.generator.dim}")
+    require_same_dim(a, f.generator)
     family = spectral_family(a, tol)
     gen = f.generator
     for t, step in zip(family.thresholds, family.steps):
@@ -190,7 +183,7 @@ def _map_family_through(
     steps: list[Projection] = []
     prev = Projection.zero(dim)
     for t, step in zip(family.thresholds, mapped_steps):
-        if operator_norm(step.matrix - prev.matrix) > tol:
+        if not step.isclose(prev, tol):
             thresholds.append(t)
             steps.append(step)
             prev = step
@@ -253,7 +246,7 @@ class OrderPair:
             (cid, float(mu[cid]), float(nu[cid])) for cid in sorted(mu)
         )
         for cid, lo, hi in items:
-            if lo > hi + 1e-12:
+            if lo > hi + ORDER_PAIR_SLACK:
                 raise ValueError(
                     f"mu exceeds nu at context {cid}: {lo!r} > {hi!r}"
                 )
@@ -341,8 +334,7 @@ def operator_arrow(
     construction and is re-checked; failure raises InternalInvariantViolation.
     """
     tol = resolve_tolerance(tol)
-    if a.dim != poset.dim:
-        raise DimensionMismatchError(f"dimensions differ: {a.dim} vs {poset.dim}")
+    require_same_dim(a, poset)
     inner = {v.id: inner_operator(a, v, tol) for v in poset}
     outer = {v.id: outer_operator(a, v, tol) for v in poset}
     components: dict[str, tuple[OrderPair, ...]] = {}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .config import resolve_tolerance
-from .contexts import Context, ContextPoset, dominating_atom_index, includes
+from .contexts import Context, ContextPoset, checked_index, dominating_atom_index, includes
 from .errors import (
     InternalInvariantViolation,
     NotInContextError,
@@ -21,7 +21,7 @@ from .errors import (
     NotRestrictionClosedError,
     PosetMismatchError,
 )
-from .linalg import HermitianOperator, Projection, proj_leq
+from .linalg import HermitianOperator, Projection
 
 __all__ = [
     "GelfandPoint",
@@ -43,10 +43,7 @@ class GelfandPoint:
     index: int
 
     def __post_init__(self):
-        if not 0 <= self.index < self.context.n_atoms:
-            raise ValueError(
-                f"atom index {self.index} out of range for {self.context!r}"
-            )
+        checked_index(self.index, self.context.n_atoms)
 
     @property
     def atom(self) -> Projection:
@@ -100,18 +97,17 @@ def projection_to_points(
     projections and subsets of its spectrum. Raises NotInContextError when p
     is not a sum of atoms.
     """
-    tol = resolve_tolerance(tol)
-    if not v.contains_projection(p, tol):
+    indices = v.decompose(p, tol)
+    if indices is None:
         raise NotInContextError("projection is not a sum of the context's atoms")
-    return frozenset(
-        GelfandPoint(v, i) for i, atom in enumerate(v.atoms) if proj_leq(atom, p, tol)
-    )
+    return frozenset(GelfandPoint(v, i) for i in indices)
 
 
 def points_to_projection(
     points: Iterable[GelfandPoint | int], v: Context, tol: float | None = None
 ) -> Projection:
-    """Inverse of projection_to_points: sum the atoms named by the points."""
+    """Inverse of projection_to_points: sum the atoms named by the points
+    (a plain index must be a non-bool integer in range, else ValueError)."""
     indices = []
     for item in points:
         if isinstance(item, GelfandPoint):
@@ -119,7 +115,7 @@ def points_to_projection(
                 raise NotInContextError("point belongs to a different context")
             indices.append(item.index)
         else:
-            indices.append(int(item))
+            indices.append(checked_index(item, v.n_atoms))
     return v.sum_of_atoms(sorted(set(indices)), tol)
 
 
@@ -127,60 +123,44 @@ class ClopenSubobject:
     """A restriction-closed family of character subsets, one per context.
 
     components maps context id -> frozenset of atom indices. The family is
-    validated on construction: every context of the poset must be covered and
-    restriction along every inclusion must stay inside the family.
+    validated on every construction: every context of the poset must be
+    covered by non-bool integer indices in range, and restriction along every
+    inclusion must stay inside the family.
     """
 
     __slots__ = ("_poset", "_components")
 
-    def __init__(
-        self,
-        poset: ContextPoset,
-        components: Mapping[str, Iterable[int]],
-        validate: bool = True,
-    ):
+    def __init__(self, poset: ContextPoset, components: Mapping[str, Iterable[int]]):
         normalized: dict[str, frozenset[int]] = {}
         for ctx in poset:
             if ctx.id not in components:
                 raise PosetMismatchError(f"no component for context {ctx.id}")
-            indices = frozenset(int(i) for i in components[ctx.id])
-            for i in indices:
-                if not 0 <= i < ctx.n_atoms:
-                    raise ValueError(
-                        f"atom index {i} out of range for context {ctx.id}"
-                    )
-            normalized[ctx.id] = indices
+            normalized[ctx.id] = frozenset(
+                checked_index(i, ctx.n_atoms) for i in components[ctx.id]
+            )
         extra = set(components) - set(normalized)
         if extra:
             raise PosetMismatchError(f"components for unknown contexts: {sorted(extra)}")
-        self._poset = poset
-        self._components = normalized
-        if validate:
-            self._check_closed()
-
-    def _check_closed(self) -> None:
-        for sub_id, sup_id in self._poset.strict_pairs():
-            for i in self._components[sup_id]:
-                j = self._poset.restriction_index(sup_id, sub_id, i)
-                if j not in self._components[sub_id]:
+        for sub_id, sup_id in poset.strict_pairs():
+            for i in normalized[sup_id]:
+                j = poset.restriction_index(sup_id, sub_id, i)
+                if j not in normalized[sub_id]:
                     raise NotRestrictionClosedError(
                         f"point {i} of {sup_id} restricts outside the component "
                         f"at {sub_id}"
                     )
+        self._poset = poset
+        self._components = normalized
 
     @classmethod
     def top(cls, poset: ContextPoset) -> "ClopenSubobject":
         """The whole spectral presheaf."""
-        return cls(
-            poset,
-            {c.id: range(c.n_atoms) for c in poset},
-            validate=False,
-        )
+        return cls(poset, {c.id: range(c.n_atoms) for c in poset})
 
     @classmethod
     def bottom(cls, poset: ContextPoset) -> "ClopenSubobject":
         """The empty subobject."""
-        return cls(poset, {c.id: () for c in poset}, validate=False)
+        return cls(poset, {c.id: () for c in poset})
 
     @property
     def poset(self) -> ContextPoset:
@@ -216,7 +196,6 @@ class ClopenSubobject:
                 cid: self._components[cid] & other._components[cid]
                 for cid in self._components
             },
-            validate=False,
         )
 
     def join(self, other: "ClopenSubobject") -> "ClopenSubobject":
@@ -228,7 +207,6 @@ class ClopenSubobject:
                 cid: self._components[cid] | other._components[cid]
                 for cid in self._components
             },
-            validate=False,
         )
 
     def leq(self, other: "ClopenSubobject") -> bool:

@@ -19,12 +19,8 @@ import numpy as np
 from .config import resolve_tolerance
 from .contexts import ContextPoset
 from .daseinisation import daseinise_projection
-from .errors import (
-    DimensionMismatchError,
-    NotNormalizedError,
-    PosetMismatchError,
-)
-from .linalg import HermitianOperator, Projection
+from .errors import NotNormalizedError, PosetMismatchError
+from .linalg import HermitianOperator, Projection, require_same_dim
 from .operators import OperatorArrow, OrderPair, operator_arrow
 from .presheaf import ClopenSubobject
 
@@ -87,8 +83,7 @@ def pseudo_state(
     """The daseinised projector onto psi: the smallest clopen subobject whose
     component contains psi's support at every context. Components are never
     empty, and are singletons exactly when a single atom dominates psi."""
-    if psi.dim != poset.dim:
-        raise DimensionMismatchError(f"dimensions differ: {psi.dim} vs {poset.dim}")
+    require_same_dim(psi, poset)
     return daseinise_projection(psi.projector(), poset, tol)
 
 
@@ -136,8 +131,7 @@ def value(arrow: OperatorArrow, state: ClopenSubobject) -> ValueSubobject:
 
 def expectation(psi: UnitVector, a: HermitianOperator) -> float:
     """The ordinary expectation value of a in the state psi."""
-    if psi.dim != a.dim:
-        raise DimensionMismatchError(f"dimensions differ: {psi.dim} vs {a.dim}")
+    require_same_dim(psi, a)
     vec = psi.amplitudes
     return float((vec.conj() @ (a.matrix @ vec)).real)
 

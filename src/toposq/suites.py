@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import resolve_tolerance
+from .config import SUITE_DISTINCT_GAP, SUITE_SPECTRUM_SLACK, resolve_tolerance
 from .contexts import Context, ContextPoset, build_poset, context_from_atoms
 from .daseinisation import daseinise_projection, inner_projection, outer_projection
 from .errors import ToposqError
@@ -114,7 +114,7 @@ def suite_injectivity(
     for trial in range(trials):
         p = random_projection(dim, rng, int(rng.integers(1, dim)))
         q = random_projection(dim, rng, int(rng.integers(1, dim)))
-        while operator_norm(p.matrix - q.matrix) <= 1e-6:
+        while operator_norm(p.matrix - q.matrix) <= SUITE_DISTINCT_GAP:
             q = random_projection(dim, rng, int(rng.integers(1, dim)))
         poset = build_poset(
             [
@@ -273,7 +273,7 @@ def suite_operator_sandwich(
         spec_a = eigenstructure(a, tol).eigenvalues
         for approx in (inner, outer):
             for value in eigenstructure(approx, tol).eigenvalues:
-                ok = ok and min(abs(value - s) for s in spec_a) <= 1e-7
+                ok = ok and min(abs(value - s) for s in spec_a) <= SUITE_SPECTRUM_SLACK
         if not ok:
             result.failures += 1
             result.notes.append(f"trial {trial}: sandwich violated")

@@ -320,7 +320,7 @@ def test_build_poset_single_seed(eigen_context):
     assert eigen_context in poset
 
 
-def test_build_poset_two_overlapping_maximal(eigen_context, basis_projs):
+def test_build_poset_two_overlapping_maximal(eigen_context, basis_projs, monkeypatch):
     # Two maximal contexts of C^3 sharing exactly one rank-1 projection.
     _, p2, _ = basis_projs
     c, s = np.cos(0.7), np.sin(0.7)
@@ -331,15 +331,27 @@ def test_build_poset_two_overlapping_maximal(eigen_context, basis_projs):
             Projection.onto(np.array([-s, 0.0, c])),
         ]
     )
-    poset = build_poset(
-        [eigen_context, w], close_coarsening=True, close_intersection=True
-    )
-    oracle_pool = brute_force_closure([eigen_context, w], True, True)
-    # 2 maximal + 3 coarsenings each, with the shared 2-atom context counted
-    # once: 7 contexts. Verified against the independent fixed-point closure.
-    assert len(oracle_pool) == 7
-    assert len(poset) == 7
-    assert set(c.id for c in poset) == set(oracle_pool)
+    # A maximal context of C^4 seeded together with two of its coarsenings.
+    v4 = random_maximal_context(4, rng_for(311))
+    calls = []
+
+    def counted(u, v, tol=None):
+        calls.append((u.id, v.id))
+        return intersect(u, v, tol)
+
+    monkeypatch.setattr("toposq.contexts.intersect", counted)
+    # First case: 2 maximal + 3 coarsenings each, with the shared 2-atom
+    # context counted once: 7 contexts. Second: B(4) - 1 = 14 contexts. Both
+    # are checked against the independent fixed-point closure.
+    for seeds, size in (([eigen_context, w], 7), ([v4, *coarsenings(v4)[:2]], 14)):
+        calls.clear()
+        poset = build_poset(seeds, close_coarsening=True, close_intersection=True)
+        oracle_pool = brute_force_closure(seeds, True, True)
+        assert len(oracle_pool) == size
+        assert len(poset) == size
+        assert set(c.id for c in poset) == set(oracle_pool)
+        # Every intersection is a coarsening already in the pool.
+        assert calls == []
 
 
 def test_build_poset_order_is_partial_order(spin_poset):
@@ -372,6 +384,10 @@ def test_down_set_and_restriction_index(spin_poset, eigen_context, basis_projs):
     for i in range(3):
         j = spin_poset.restriction_index(eigen_context.id, v_p1.id, i)
         assert proj_leq(eigen_context.atom(i), v_p1.atom(j))
+    # Indices outside the sup's atoms, or not integers, fail at the boundary.
+    for sub, bad in ((v_p1, -1), (v_p1, 3), (eigen_context, 5), (v_p1, 1.0), (v_p1, True)):
+        with pytest.raises(ValueError):
+            spin_poset.restriction_index(eigen_context, sub, bad)
 
 
 def test_poset_dedupes_equal_contexts(eigen_context, basis_projs):

@@ -122,17 +122,24 @@ def test_projection_onto_dependent_columns():
     # Two parallel columns span a line, not a plane.
     vecs = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]])
     assert Projection.onto(vecs).rank == 1
+    # The rank cut at |r_ii| = 1e-12: a second column that far off the first
+    # line is dropped just inside the cut and kept just outside it.
+    for r22, rank in ((1e-13, 1), (1e-11, 2)):
+        vecs = np.array([[1.0, 1.0], [0.0, r22], [0.0, 0.0]])
+        assert Projection.onto(vecs).rank == rank
 
 
 def test_canonical_projection_snaps_drift():
-    drift = np.diag([1.0 + 3e-8, 2e-8, 0.0])
-    p = canonical_projection(drift)
-    assert np.allclose(p.matrix, np.diag([1.0, 0.0, 0.0]))
+    # Eigenvalue drift up to the 1e-7 snap floor, far above the tolerance.
+    for drift in (np.diag([1.0 + 3e-8, 2e-8, 0.0]), np.diag([1.0, 0.9e-7, 0.0])):
+        p = canonical_projection(drift)
+        assert np.allclose(p.matrix, np.diag([1.0, 0.0, 0.0]))
 
 
 def test_canonical_projection_rejects_far_matrix():
-    with pytest.raises(NotAProjectionError):
-        canonical_projection(np.diag([0.4, 0.0]))
+    for far in (np.diag([0.4, 0.0]), np.diag([1.0, 1.1e-7, 0.0])):
+        with pytest.raises(NotAProjectionError):
+            canonical_projection(far)
 
 
 def test_operator_norm_is_spectral():

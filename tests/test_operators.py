@@ -20,6 +20,7 @@ from toposq import (
     GelfandPoint,
     HermitianOperator,
     InternalInvariantViolation,
+    OrderPair,
     PrincipalFilter,
     Projection,
     antonymous,
@@ -427,3 +428,7 @@ def test_eigenvector_point_gives_degenerate_interval():
             lo, hi = pair.interval(v.id)
             assert lo == pytest.approx(value, abs=1e-9)
             assert hi == pytest.approx(value, abs=1e-9)
+    # A degenerate interval may have mu above nu by rounding, up to 1e-12.
+    assert OrderPair({"v": 0.9e-12}, {"v": 0.0}).interval("v") == (0.9e-12, 0.0)
+    with pytest.raises(ValueError):
+        OrderPair({"v": 1.1e-12}, {"v": 0.0})

@@ -118,6 +118,12 @@ def test_point_atom_and_validation(eigen_context):
     assert pt.atom.isclose(eigen_context.atom(1))
     with pytest.raises(ValueError):
         GelfandPoint(eigen_context, 3)
+    for bad in (-1, 3, 1.7, 1.0, True):
+        with pytest.raises(ValueError):
+            points_to_projection([bad], eigen_context)
+        with pytest.raises(ValueError):
+            GelfandPoint(eigen_context, bad)
+    assert points_to_projection([np.int64(1)], eigen_context).isclose(eigen_context.atom(1))
 
 
 # --------------------------------------------------------------- evaluate
