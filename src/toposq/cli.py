@@ -47,6 +47,11 @@ def _emit_json(doc) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
+def _format_intervals(intervals) -> str:
+    """(id, mu, nu) triples as "id: [mu, nu], ..." at 12 significant digits."""
+    return ", ".join(f"{cid}: [{round12(lo):g}, {round12(hi):g}]" for cid, lo, hi in intervals)
+
+
 def _build_poset_from_files(paths, args: argparse.Namespace) -> ContextPoset:
     seeds = [load_context(path, args.tol) for path in paths]
     return build_poset(
@@ -98,11 +103,7 @@ def cmd_das_op(args: argparse.Namespace) -> int:
     print(f"operator arrow over {len(poset)} contexts")
     for v in poset:
         for index in range(v.n_atoms):
-            pair = arrow.pair(v.id, index)
-            intervals = ", ".join(
-                f"{cid}: [{round12(lo):g}, {round12(hi):g}]"
-                for cid, lo, hi in pair.intervals()
-            )
+            intervals = _format_intervals(arrow.pair(v.id, index).intervals())
             print(f"  {v.id} point {index}: {intervals}")
     return 0
 
@@ -119,9 +120,7 @@ def cmd_value(args: argparse.Namespace) -> int:
         return 0
     print(f"expectation: {round12(report.expectation):g}")
     for row in report.rows:
-        intervals = ", ".join(
-            f"{cid}: [{round12(lo):g}, {round12(hi):g}]" for cid, lo, hi in row.intervals
-        )
+        intervals = _format_intervals(row.intervals)
         status = "ok" if row.ok else f"VIOLATES at {list(row.violations)}"
         print(f"  {row.context_id} point {row.point_index}: {intervals} ({status})")
     print("containment: " + ("ok" if report.ok else f"{len(report.violations)} violation(s)"))

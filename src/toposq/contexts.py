@@ -94,21 +94,24 @@ class Context:
                 f"a context needs at least two atoms, got {len(atoms)} "
                 "(the trivial algebra is excluded)"
             )
+        if not all(isinstance(atom, Projection) for atom in atoms):
+            raise NotAPartitionError("atoms must be Projection instances")
         dim = atoms[0].dim
-        for atom in atoms:
-            if not isinstance(atom, Projection):
-                raise NotAPartitionError("atoms must be Projection instances")
-            if atom.dim != dim:
-                raise DimensionMismatchError("atoms have mixed dimensions")
-            if operator_norm(atom.matrix) <= tol:
-                raise NotAPartitionError("zero atom in partition")
-        for i in range(len(atoms)):
-            for j in range(i + 1, len(atoms)):
-                overlap = operator_norm(atoms[i].matrix @ atoms[j].matrix)
-                if overlap > tol:
-                    raise NotAPartitionError(
-                        f"atoms {i} and {j} are not orthogonal (||PQ|| = {overlap:.3e})"
-                    )
+        if any(atom.dim != dim for atom in atoms):
+            raise DimensionMismatchError("atoms have mixed dimensions")
+        stack = np.stack([atom.matrix for atom in atoms])
+        if (operator_norm(stack) <= tol).any():
+            raise NotAPartitionError("zero atom in partition")
+        # Pairs i < j in row-major order, so the first offending pair is reported.
+        first, second = np.triu_indices(len(atoms), 1)
+        overlaps = operator_norm(stack[first] @ stack[second])
+        bad = np.flatnonzero(overlaps > tol)
+        if bad.size:
+            k = bad[0]
+            raise NotAPartitionError(
+                f"atoms {first[k]} and {second[k]} are not orthogonal "
+                f"(||PQ|| = {overlaps[k]:.3e})"
+            )
         ok, defect = _sums_to(atoms, np.eye(dim), tol)
         if not ok:
             raise NotAPartitionError(
@@ -266,32 +269,20 @@ def intersect(v: Context, w: Context, tol: float | None = None) -> Context:
     """
     tol = resolve_tolerance(tol)
     require_same_dim(v, w)
-    nv, nw = v.n_atoms, w.n_atoms
-    parent = list(range(nv + nw))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for i in range(nv):
-        for j in range(nw):
-            if operator_norm(v.atoms[i].matrix @ w.atoms[j].matrix) > tol:
-                union(i, nv + j)
-    components: dict[int, list[int]] = {}
-    for i in range(nv):
-        components.setdefault(find(i), []).append(i)
-    if len(components) < 2:
+    vs = np.stack([atom.matrix for atom in v.atoms])
+    ws = np.stack([atom.matrix for atom in w.atoms])
+    overlap = operator_norm(vs[:, None] @ ws[None, :]) > tol
+    # v atoms i and i' share a block when a chain of shared w atoms links
+    # them: the reflexive transitive closure of overlap . overlap^T.
+    reach = overlap @ overlap.T | np.eye(v.n_atoms, dtype=bool)
+    while not ((wider := reach @ reach) == reach).all():
+        reach = wider
+    blocks = list(dict.fromkeys(tuple(np.flatnonzero(row).tolist()) for row in reach))
+    if len(blocks) < 2:
         raise TrivialIntersectionError(
             "contexts share only the identity; the intersection is the trivial algebra"
         )
-    atoms = [v.sum_of_atoms(block, tol) for block in components.values()]
+    atoms = [v.sum_of_atoms(block, tol) for block in blocks]
     return Context(atoms, tol)
 
 
@@ -424,12 +415,14 @@ def build_poset(
     """Generate the poset spanned by seed contexts and the requested closures.
 
     With close_coarsening, every coarsening of every member is added; with
-    close_intersection, pairwise intersections (when nontrivial) are added;
-    both run to a fixed point over one worklist, in which each context is
-    coarsened at most once and intersected once with every context taken
-    before it. With both, the intersection pass is skipped: an intersection
-    is a coarsening of either side and so already in the pool. No upward
-    closure is ever performed.
+    close_intersection, nontrivial intersections are added; both run to a
+    fixed point over one worklist, in which each context is coarsened at most
+    once and intersected once with every seed taken before it (every seed,
+    once the seeds are all taken). That reaches the whole intersection
+    closure, {meet of T : T a set of seeds}, because the meet of T with s
+    added is (meet of T) meet s. With both, the intersection pass is skipped:
+    an intersection is a coarsening of either side and so already in the
+    pool. No upward closure is ever performed.
     """
     tol = resolve_tolerance(tol)
     pool: dict[str, Context] = {}
@@ -445,6 +438,7 @@ def build_poset(
     if not pool:
         raise ValueError("build_poset needs at least one seed context")
     taken = [pool[cid] for cid in sorted(pool)]  # the worklist, seeds first
+    n_seeds = len(taken)
     coarsened: set[str] = set()
     for k, v in enumerate(taken):  # taken grows while it is walked
         found: list[Context] = []
@@ -454,7 +448,7 @@ def build_poset(
             found += coarsenings(v, tol)
             coarsened.update(ctx.id for ctx in found)
         if close_intersection and not close_coarsening:
-            for u in taken[:k]:
+            for u in taken[:min(k, n_seeds)]:
                 try:
                     found.append(intersect(u, v, tol))
                 except TrivialIntersectionError:

@@ -10,6 +10,8 @@ the spectral presheaf.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .config import resolve_tolerance
 from .contexts import Context, ContextPoset
 from .linalg import Projection, operator_norm, require_same_dim
@@ -29,9 +31,8 @@ def outer_component_indices(
     """Indices of the atoms of v not orthogonal to p."""
     tol = resolve_tolerance(tol)
     require_same_dim(p, v)
-    return tuple(
-        i for i, atom in enumerate(v.atoms) if operator_norm(atom.matrix @ p.matrix) > tol
-    )
+    atoms = np.stack([atom.matrix for atom in v.atoms])
+    return tuple(np.flatnonzero(operator_norm(atoms @ p.matrix) > tol).tolist())
 
 
 def outer_projection(p: Projection, v: Context, tol: float | None = None) -> Projection:

@@ -42,8 +42,13 @@ __all__ = [
 ]
 
 
-def operator_norm(matrix: np.ndarray) -> float:
-    """Spectral norm (largest singular value) of a matrix; 0.0 when empty."""
+def operator_norm(matrix: np.ndarray) -> float | np.ndarray:
+    """Spectral norm (largest singular value) of a matrix; 0.0 when empty.
+
+    For a stack of shape (..., n, m), the array of the norms of its matrices,
+    from one batched call."""
+    if matrix.ndim > 2:
+        return np.linalg.norm(matrix, 2, axis=(-2, -1))
     if matrix.size == 0:
         return 0.0
     return float(np.linalg.norm(matrix, 2))

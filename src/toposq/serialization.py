@@ -22,7 +22,7 @@ import numpy as np
 from .contexts import Context, ContextPoset
 from .errors import ParseError, UnsupportedFeatureError
 from .linalg import HermitianOperator, Projection
-from .operators import OperatorArrow
+from .operators import OperatorArrow, OrderPair
 from .presheaf import ClopenSubobject
 from .states import ContainmentReport, UnitVector, ValueSubobject
 
@@ -172,32 +172,31 @@ def subobject_to_doc(s: ClopenSubobject) -> dict:
     return {"components": s.to_doc()}
 
 
+def _pair_to_doc(pair: OrderPair) -> dict:
+    """{"mu": {id: mu}, "nu": {id: nu}} with 12 significant digits."""
+    items = pair.intervals()
+    return {
+        "mu": {cid: round12(lo) for cid, lo, _ in items},
+        "nu": {cid: round12(hi) for cid, _, hi in items},
+    }
+
+
 def arrow_to_doc(arrow: OperatorArrow) -> dict:
     """context id -> point index -> {mu, nu} with 12 significant digits."""
-    out: dict[str, dict[str, dict]] = {}
-    for v in arrow.poset:
-        per_point = {}
-        for index in range(v.n_atoms):
-            pair = arrow.pair(v.id, index)
-            per_point[str(index)] = {
-                "mu": {cid: round12(lo) for cid, lo, _ in pair.intervals()},
-                "nu": {cid: round12(hi) for cid, _, hi in pair.intervals()},
-            }
-        out[v.id] = per_point
-    return {"arrow": out}
+    return {
+        "arrow": {
+            v.id: {str(i): _pair_to_doc(arrow.pair(v.id, i)) for i in range(v.n_atoms)}
+            for v in arrow.poset
+        }
+    }
 
 
 def value_to_doc(val: ValueSubobject) -> dict:
-    out: dict[str, list] = {}
-    for v in val.poset:
-        out[v.id] = [
-            {
-                "mu": {cid: round12(lo) for cid, lo, _ in pair.intervals()},
-                "nu": {cid: round12(hi) for cid, _, hi in pair.intervals()},
-            }
-            for pair in val.component(v.id)
-        ]
-    return {"value": out}
+    return {
+        "value": {
+            v.id: [_pair_to_doc(pair) for pair in val.component(v.id)] for v in val.poset
+        }
+    }
 
 
 def report_to_doc(report: ContainmentReport) -> dict:

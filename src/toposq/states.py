@@ -178,13 +178,12 @@ class ContainmentReport:
     @property
     def violations(self) -> tuple[tuple[str, int, str, float, float], ...]:
         """Flattened witness list: (context, point, subcontext, mu, nu)."""
-        out = []
-        for row in self._rows:
-            for cid in row.violations:
-                for item_cid, lo, hi in row.intervals:
-                    if item_cid == cid:
-                        out.append((row.context_id, row.point_index, cid, lo, hi))
-        return tuple(out)
+        return tuple(
+            (row.context_id, row.point_index, cid, lo, hi)
+            for row in self._rows
+            for cid, lo, hi in row.intervals
+            if cid in row.violations
+        )
 
     @property
     def ok(self) -> bool:

@@ -1,6 +1,9 @@
-"""Shared fixtures: the spin-1 worked instance and randomized-input helpers."""
+"""Shared fixtures: the spin-1 worked instance, randomized-input helpers and
+the Peres bases."""
 
 from __future__ import annotations
+
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -53,3 +56,19 @@ def atom_index(context: Context, p: Projection) -> int:
         if atom.isclose(p, 1e-9):
             return i
     raise AssertionError("no atom matches the given projection")
+
+
+def peres_bases():
+    """The 24 orthogonal bases of the Peres 24-ray set in C^4, as contexts.
+
+    Rays are the {0, +-1}^4 vectors with 1, 2 or 4 nonzero entries whose first
+    nonzero entry is +1, in lexicographic order; a basis is any four pairwise
+    orthogonal rays, and bases come in lexicographic order.
+    """
+    rays = [
+        np.array(r, dtype=float)
+        for r in sorted(product((0, 1, -1), repeat=4))
+        if np.count_nonzero(r) in (1, 2, 4) and next(x for x in r if x) == 1
+    ]
+    bases = [b for b in combinations(rays, 4) if all(p @ q == 0 for p, q in combinations(b, 2))]
+    return [context_from_atoms([Projection.onto(r) for r in b]) for b in bases]

@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import atom_index, rng_for
+from conftest import atom_index, peres_bases, rng_for
 from toposq import (
     Context,
     HermitianOperator,
@@ -104,8 +104,10 @@ def brute_force_closure(seeds, coarsening: bool, intersection: bool):
 
 
 def test_context_requires_two_atoms():
-    with pytest.raises(NotAPartitionError):
-        Context([Projection.identity(3)])
+    # Too few atoms, or atoms that are not Projections (the first one included).
+    for atoms in ([Projection.identity(3)], [np.eye(2), np.eye(2)]):
+        with pytest.raises(NotAPartitionError):
+            Context(atoms)
 
 
 def test_context_rejects_incomplete_partition():
@@ -115,11 +117,14 @@ def test_context_rejects_incomplete_partition():
         )
 
 
-def test_context_rejects_overlapping_atoms():
+def test_context_rejects_overlapping_atoms(basis_projs):
+    p1, p2, _ = basis_projs
     p12 = Projection(np.diag([1.0, 1.0, 0.0]))
     p23 = Projection(np.diag([0.0, 1.0, 1.0]))
-    with pytest.raises(NotAPartitionError):
-        context_from_atoms([p12, p23])
+    # The message names the first offending pair i < j in supplied order.
+    for atoms, pair in (([p12, p23], "0 and 1"), ([p1, p2, p23], "1 and 2"), ([p1, p2, p12], "0 and 2")):
+        with pytest.raises(NotAPartitionError, match=rf"atoms {pair} are not orthogonal \(\|\|PQ\|\| = 1\.000e\+00\)"):
+            context_from_atoms(atoms)
 
 
 def test_context_drops_nothing_and_sorts(basis_projs):
@@ -352,6 +357,26 @@ def test_build_poset_two_overlapping_maximal(eigen_context, basis_projs, monkeyp
         assert set(c.id for c in poset) == set(oracle_pool)
         # Every intersection is a coarsening already in the pool.
         assert calls == []
+
+
+def test_build_poset_intersection_closure_matches_oracle():
+    # Meeting each context with the seeds only still reaches every meet of
+    # every seed subset, as the all-pairs fixed point does.
+    # Mixed seeds: the six 3-atom coarsenings of the diagonal context of C^4,
+    # and a maximal context sharing e1 and e2 with it; their meets add the
+    # seven 2-atom coarsenings.
+    e = np.eye(4)
+    c, s = np.cos(0.6), np.sin(0.6)
+    w = context_from_atoms(
+        [Projection.onto(x) for x in (e[0], e[1], c * e[2] + s * e[3], c * e[3] - s * e[2])]
+    )
+    diagonal = context_from_atoms([Projection.onto(x) for x in e])
+    mixed = [x for x in coarsenings(diagonal) if x.n_atoms == 3] + [w]
+    bases = peres_bases()
+    for seeds, size in ((bases[:3], 6), (bases[:8], 23), (mixed, 14)):
+        poset = build_poset(seeds, close_intersection=True)
+        assert len(poset) == size
+        assert set(poset.signature) == set(brute_force_closure(seeds, False, True))
 
 
 def test_build_poset_order_is_partial_order(spin_poset):

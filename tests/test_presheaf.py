@@ -13,7 +13,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from conftest import SQ2, atom_index, rng_for
+from conftest import SQ2, atom_index, peres_bases, rng_for
 from toposq import (
     ClopenSubobject,
     GelfandPoint,
@@ -28,6 +28,7 @@ from toposq import (
     daseinise_projection,
     evaluate,
     global_sections,
+    intersect,
     points_to_projection,
     projection_to_points,
     proj_leq,
@@ -59,22 +60,6 @@ def global_sections_oracle(poset):
                 {c.id: choice[k] for k, c in enumerate(ctxs)}
             )
     return out
-
-
-def peres_bases():
-    """The 24 orthogonal bases of the Peres 24-ray set in C^4, as contexts.
-
-    Rays are the {0, +-1}^4 vectors with 1, 2 or 4 nonzero entries whose first
-    nonzero entry is +1, in lexicographic order; a basis is any four pairwise
-    orthogonal rays, and bases come in lexicographic order.
-    """
-    rays = [
-        np.array(r, dtype=float)
-        for r in sorted(product((0, 1, -1), repeat=4))
-        if np.count_nonzero(r) in (1, 2, 4) and next(x for x in r if x) == 1
-    ]
-    bases = [b for b in combinations(rays, 4) if all(p @ q == 0 for p, q in combinations(b, 2))]
-    return [context_from_atoms([Projection.onto(r) for r in b]) for b in bases]
 
 
 def all_subobjects(poset):
@@ -420,12 +405,21 @@ def test_global_sections_random_posets_match_oracle():
         assert got == want
 
 
-def test_global_sections_peres_set_has_none():
+def test_global_sections_peres_set_has_none(monkeypatch):
     # Kochen-Specker: the Peres set admits no global value assignment.
     bases = peres_bases()
     assert len(bases) == 24
+    calls = []
+
+    def counted(u, v, tol=None):
+        calls.append((u.id, v.id))
+        return intersect(u, v, tol)
+
+    monkeypatch.setattr("toposq.contexts.intersect", counted)
     poset = build_poset(bases, close_intersection=True)
     assert len(poset) == 93
+    # Each of the 93 contexts meets only the seeds: C(24, 2) + 69 * 24.
+    assert len(calls) == 1932
     assert global_sections(poset) == []
 
 
