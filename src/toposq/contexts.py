@@ -259,6 +259,17 @@ def coarsenings(v: Context, tol: float | None = None) -> tuple[Context, ...]:
     return tuple(sorted(result, key=lambda c: c.id))
 
 
+def _blocks(overlap: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The row blocks of a boolean overlap matrix, in order of first member.
+
+    Rows i and i' share a block when a chain of shared columns links them:
+    the reflexive transitive closure of overlap . overlap^T."""
+    reach = overlap @ overlap.T | np.eye(len(overlap), dtype=bool)
+    while not ((wider := reach @ reach) == reach).all():
+        reach = wider
+    return tuple(dict.fromkeys(tuple(np.flatnonzero(row).tolist()) for row in reach))
+
+
 def intersect(v: Context, w: Context, tol: float | None = None) -> Context:
     """The largest context included in both v and w.
 
@@ -271,13 +282,7 @@ def intersect(v: Context, w: Context, tol: float | None = None) -> Context:
     require_same_dim(v, w)
     vs = np.stack([atom.matrix for atom in v.atoms])
     ws = np.stack([atom.matrix for atom in w.atoms])
-    overlap = operator_norm(vs[:, None] @ ws[None, :]) > tol
-    # v atoms i and i' share a block when a chain of shared w atoms links
-    # them: the reflexive transitive closure of overlap . overlap^T.
-    reach = overlap @ overlap.T | np.eye(v.n_atoms, dtype=bool)
-    while not ((wider := reach @ reach) == reach).all():
-        reach = wider
-    blocks = list(dict.fromkeys(tuple(np.flatnonzero(row).tolist()) for row in reach))
+    blocks = _blocks(operator_norm(vs[:, None] @ ws[None, :]) > tol)
     if len(blocks) < 2:
         raise TrivialIntersectionError(
             "contexts share only the identity; the intersection is the trivial algebra"
@@ -310,6 +315,8 @@ class ContextPoset:
         tol = resolve_tolerance(tol)
         by_id: dict[str, Context] = {}
         for ctx in contexts:
+            if not isinstance(ctx, Context):
+                raise NotAPartitionError("poset members must be Context instances")
             by_id.setdefault(ctx.id, ctx)
         if not by_id:
             raise ValueError("a context poset needs at least one context")
@@ -423,11 +430,21 @@ def build_poset(
     added is (meet of T) meet s. With both, the intersection pass is skipped:
     an intersection is a coarsening of either side and so already in the
     pool. No upward closure is ever performed.
+
+    The seeds' atoms are stacked once, so each taken context gets its overlap
+    with all earlier seeds from one batched norm call; a seed's slice of it
+    gives the blocks of that seed's atoms, as in ``intersect``. The meet of
+    seed s with v is the sum of s's atoms over those blocks, so it depends
+    only on the key (s, blocks): a key already met in this build gives a
+    context already in the pool and is skipped, and each block sum of a seed
+    is computed once.
     """
     tol = resolve_tolerance(tol)
     pool: dict[str, Context] = {}
     dim: int | None = None
     for seed in seeds:
+        if not isinstance(seed, Context):
+            raise NotAPartitionError("seeds must be Context instances")
         if dim is None:
             dim = seed.dim
         elif seed.dim != dim:
@@ -439,6 +456,13 @@ def build_poset(
         raise ValueError("build_poset needs at least one seed context")
     taken = [pool[cid] for cid in sorted(pool)]  # the worklist, seeds first
     n_seeds = len(taken)
+    meet_seeds = close_intersection and not close_coarsening
+    if meet_seeds:
+        seed_atoms = np.stack([atom.matrix for u in taken for atom in u.atoms])
+        # Seed s owns rows starts[s]:starts[s + 1] of seed_atoms.
+        starts = np.cumsum([0] + [u.n_atoms for u in taken]).tolist()
+        met: set[tuple[int, tuple[tuple[int, ...], ...]]] = set()
+        block_sums: dict[tuple[int, tuple[int, ...]], Projection] = {}
     coarsened: set[str] = set()
     for k, v in enumerate(taken):  # taken grows while it is walked
         found: list[Context] = []
@@ -447,12 +471,19 @@ def build_poset(
             # everything returned here is already closed.
             found += coarsenings(v, tol)
             coarsened.update(ctx.id for ctx in found)
-        if close_intersection and not close_coarsening:
-            for u in taken[:min(k, n_seeds)]:
-                try:
-                    found.append(intersect(u, v, tol))
-                except TrivialIntersectionError:
-                    pass
+        if meet_seeds and k:
+            m = min(k, n_seeds)
+            vs = np.stack([atom.matrix for atom in v.atoms])
+            overlap = operator_norm(seed_atoms[:starts[m], None] @ vs[None, :]) > tol
+            for s, u in enumerate(taken[:m]):
+                blocks = _blocks(overlap[starts[s]:starts[s + 1]])
+                if len(blocks) < 2 or (s, blocks) in met:
+                    continue
+                met.add((s, blocks))
+                for block in blocks:
+                    if (s, block) not in block_sums:
+                        block_sums[s, block] = u.sum_of_atoms(block, tol)
+                found.append(Context([block_sums[s, block] for block in blocks], tol))
         for ctx in found:
             if ctx.id not in pool:
                 pool[ctx.id] = ctx

@@ -16,6 +16,7 @@ import pytest
 from conftest import atom_index, peres_bases, rng_for
 from toposq import (
     Context,
+    ContextPoset,
     HermitianOperator,
     MixedDimensionsError,
     NotAPartitionError,
@@ -31,6 +32,7 @@ from toposq import (
     operator_norm,
     proj_leq,
 )
+from toposq.contexts import _blocks
 from toposq.sampling import random_maximal_context
 
 
@@ -340,31 +342,65 @@ def test_build_poset_two_overlapping_maximal(eigen_context, basis_projs, monkeyp
     v4 = random_maximal_context(4, rng_for(311))
     calls = []
 
-    def counted(u, v, tol=None):
-        calls.append((u.id, v.id))
-        return intersect(u, v, tol)
+    def counted(overlap):
+        calls.append(overlap.shape)
+        return _blocks(overlap)
 
-    monkeypatch.setattr("toposq.contexts.intersect", counted)
+    monkeypatch.setattr("toposq.contexts._blocks", counted)
     # First case: 2 maximal + 3 coarsenings each, with the shared 2-atom
     # context counted once: 7 contexts. Second: B(4) - 1 = 14 contexts. Both
     # are checked against the independent fixed-point closure.
     for seeds, size in (([eigen_context, w], 7), ([v4, *coarsenings(v4)[:2]], 14)):
         calls.clear()
+        build_poset(seeds, close_intersection=True)
+        assert calls  # every meet of the intersection pass is counted here
+        calls.clear()
         poset = build_poset(seeds, close_coarsening=True, close_intersection=True)
+        # Every intersection is a coarsening already in the pool.
+        assert calls == []
         oracle_pool = brute_force_closure(seeds, True, True)
         assert len(oracle_pool) == size
         assert len(poset) == size
         assert set(c.id for c in poset) == set(oracle_pool)
-        # Every intersection is a coarsening already in the pool.
-        assert calls == []
 
 
-def test_build_poset_intersection_closure_matches_oracle():
+def seed_meet_closure(seeds) -> ContextPoset:
+    """Seeds-only worklist from pairwise ``intersect``: each taken context
+    meets every seed taken before it."""
+    pool = {v.id: v for v in seeds}
+    taken = [pool[cid] for cid in sorted(pool)]
+    n_seeds = len(taken)
+    for k, v in enumerate(taken):
+        for u in taken[:min(k, n_seeds)]:
+            try:
+                meet = intersect(u, v)
+            except TrivialIntersectionError:
+                continue
+            if meet.id not in pool:
+                pool[meet.id] = meet
+                taken.append(meet)
+    return ContextPoset(pool.values())
+
+
+def rotated(v: Context, i: int, j: int, angle: float) -> Context:
+    """The maximal context v with its rank-1 atoms i and j turned by angle
+    in their common plane; the other atoms are shared with v."""
+    vectors = [np.linalg.eigh(atom.matrix)[1][:, -1] for atom in v.atoms]
+    c, s = np.cos(angle), np.sin(angle)
+    x, y = vectors[i], vectors[j]
+    vectors[i], vectors[j] = c * x + s * y, c * y - s * x
+    return context_from_atoms([Projection.onto(x) for x in vectors])
+
+
+def test_build_poset_intersection_closure_matches_oracle(eigen_context):
     # Meeting each context with the seeds only still reaches every meet of
-    # every seed subset, as the all-pairs fixed point does.
+    # every seed subset, as the all-pairs fixed point does, and the batched
+    # seed overlap with its (seed, blocks) memo gives the same poset, order
+    # included, as the seeds-only worklist over pairwise ``intersect``.
     # Mixed seeds: the six 3-atom coarsenings of the diagonal context of C^4,
     # and a maximal context sharing e1 and e2 with it; their meets add the
-    # seven 2-atom coarsenings.
+    # seven 2-atom coarsenings. The last three seed sets mix coarsenings of
+    # one maximal context with turned copies that share some of its atoms.
     e = np.eye(4)
     c, s = np.cos(0.6), np.sin(0.6)
     w = context_from_atoms(
@@ -372,11 +408,42 @@ def test_build_poset_intersection_closure_matches_oracle():
     )
     diagonal = context_from_atoms([Projection.onto(x) for x in e])
     mixed = [x for x in coarsenings(diagonal) if x.n_atoms == 3] + [w]
+    v4 = random_maximal_context(4, rng_for(312))
     bases = peres_bases()
-    for seeds, size in ((bases[:3], 6), (bases[:8], 23), (mixed, 14)):
+    cases = (
+        (bases[:3], 6),
+        (bases[:8], 23),
+        (mixed, 14),
+        (
+            [eigen_context, coarsenings(eigen_context)[0]]
+            + [rotated(eigen_context, 1, 2, 0.4), rotated(eigen_context, 0, 1, 0.7)],
+            6,
+        ),
+        (
+            [x for x in coarsenings(v4) if x.n_atoms == 3][:3]
+            + [rotated(v4, 2, 3, 0.5), rotated(v4, 0, 1, 0.9)],
+            9,
+        ),
+        ([x for x in coarsenings(v4) if x.n_atoms == 2] + [v4, rotated(v4, 1, 3, 1.1)], 10),
+    )
+    for seeds, size in cases:
         poset = build_poset(seeds, close_intersection=True)
         assert len(poset) == size
         assert set(poset.signature) == set(brute_force_closure(seeds, False, True))
+        worklist = seed_meet_closure(seeds)
+        assert poset.signature == worklist.signature
+        assert poset.strict_pairs() == worklist.strict_pairs()
+
+
+def test_non_context_members_rejected(eigen_context, basis_projs):
+    # A bare atom list, a string or a number is not a context.
+    p1 = basis_projs[0]
+    with pytest.raises(NotAPartitionError):
+        build_poset([[p1, p1.complement()]])
+    with pytest.raises(NotAPartitionError):
+        build_poset([eigen_context, "x"])
+    with pytest.raises(NotAPartitionError):
+        ContextPoset([eigen_context, 3])
 
 
 def test_build_poset_order_is_partial_order(spin_poset):

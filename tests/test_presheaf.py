@@ -16,6 +16,7 @@ import pytest
 from conftest import SQ2, atom_index, peres_bases, rng_for
 from toposq import (
     ClopenSubobject,
+    Context,
     GelfandPoint,
     HermitianOperator,
     NotInContextError,
@@ -28,7 +29,6 @@ from toposq import (
     daseinise_projection,
     evaluate,
     global_sections,
-    intersect,
     points_to_projection,
     projection_to_points,
     proj_leq,
@@ -409,17 +409,20 @@ def test_global_sections_peres_set_has_none(monkeypatch):
     # Kochen-Specker: the Peres set admits no global value assignment.
     bases = peres_bases()
     assert len(bases) == 24
-    calls = []
+    built = []
+    init = Context.__init__
 
-    def counted(u, v, tol=None):
-        calls.append((u.id, v.id))
-        return intersect(u, v, tol)
+    def counted(self, atoms, tol=None):
+        built.append(len(atoms))
+        init(self, atoms, tol)
 
-    monkeypatch.setattr("toposq.contexts.intersect", counted)
+    monkeypatch.setattr(Context, "__init__", counted)
     poset = build_poset(bases, close_intersection=True)
     assert len(poset) == 93
-    # Each of the 93 contexts meets only the seeds: C(24, 2) + 69 * 24.
-    assert len(calls) == 1932
+    assert len(poset.strict_pairs()) == 312
+    # The 546 nontrivial meets of a context with a seed have only 204
+    # distinct (seed, blocks) keys, and only those build a Context.
+    assert len(built) == 204
     assert global_sections(poset) == []
 
 
