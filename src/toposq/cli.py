@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .config import default_tolerance, resolve_tolerance
 from .contexts import ContextPoset, build_poset
@@ -132,21 +133,7 @@ def cmd_props(args: argparse.Namespace) -> int:
     results = run_all(dims=dims, trials=args.trials, seed=args.seed, tol=args.tol)
     failures = sum(r.failures for r in results)
     if args.format == "json":
-        _emit_json(
-            {
-                "suites": [
-                    {
-                        "name": r.name,
-                        "dim": r.dim,
-                        "trials": r.trials,
-                        "failures": r.failures,
-                        "notes": r.notes,
-                    }
-                    for r in results
-                ],
-                "failures": failures,
-            }
-        )
+        _emit_json({"suites": [asdict(r) for r in results], "failures": failures})
         return 2 if failures else 0
     print(f"{'suite':<26} {'dim':>3} {'trials':>7} {'failures':>9}")
     for r in results:

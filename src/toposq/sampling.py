@@ -31,9 +31,9 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> HermitianOperator:
+def random_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianOperator(scale * (raw + raw.conj().T) / 2.0)
+    return HermitianOperator((raw + raw.conj().T) / 2.0)
 
 
 def random_unit_vector(dim: int, rng: np.random.Generator) -> UnitVector:

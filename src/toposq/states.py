@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import resolve_tolerance
-from .contexts import ContextPoset
+from .contexts import ContextPoset, checked_index
 from .daseinisation import daseinise_projection
 from .errors import NotNormalizedError, PosetMismatchError
 from .linalg import HermitianOperator, Projection, require_same_dim
@@ -57,8 +57,9 @@ class UnitVector:
 
     @classmethod
     def basis(cls, dim: int, k: int) -> "UnitVector":
+        """The k-th standard basis vector; ValueError unless k is an integer in [0, dim)."""
         vec = np.zeros(dim, dtype=np.complex128)
-        vec[k] = 1.0
+        vec[checked_index(k, dim)] = 1.0
         return cls(vec)
 
     @property

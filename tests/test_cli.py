@@ -271,6 +271,23 @@ def test_density_matrix_state_is_input_error(files, capsys):
     assert "density matrices" in err
 
 
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["--dims", "1"], "got 1"),
+        (["--dims", "0"], "got 0"),
+        (["--dims", "-3"], "got -3"),
+        (["--dims", "2,1"], "got 1"),
+        (["--trials", "-5"], "got -5"),
+    ],
+)
+def test_props_bad_dims_or_trials_is_input_error(capsys, argv, bad):
+    code, out, err = run(capsys, "props", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: props needs") and bad in err
+
+
 def test_usage_error_returns_one(capsys):
     assert main(["contexts"]) == 1  # missing required positional
     capsys.readouterr()

@@ -34,6 +34,12 @@ def test_unit_vector_validation():
     assert psi.projector().isclose(Projection(np.diag([0.0, 1.0, 0.0])))
 
 
+@pytest.mark.parametrize("k", [-1, 3, True, 1.5])
+def test_unit_vector_basis_rejects_bad_index(k):
+    with pytest.raises(ValueError, match="not an integer in"):
+        UnitVector.basis(3, k)
+
+
 def test_unit_vector_rejects_nan():
     with pytest.raises(NotNormalizedError):
         UnitVector([np.nan, 0.0, 0.0])
