@@ -1,11 +1,11 @@
 """The global numerical tolerance and every hand-set numerical threshold.
 
 All comparisons of operators and projections in this package are absolute
-comparisons in the spectral norm against one tolerance. The default is 1e-9;
-it can be changed process-wide with set_default_tolerance or, at import time,
-through the TOPOSQ_TOL environment variable (the only environment
-configuration the package reads). Individual operations accept a tol argument
-that overrides the default for that call.
+comparisons in the spectral norm against one tolerance. The default is 1e-9,
+or the value of the TOPOSQ_TOL environment variable (the only environment
+configuration the package reads). It is read once at import and fixed for the
+life of the process. Individual operations accept a tol argument that
+overrides the default for that call.
 
 Thresholds that do not follow the tolerance are fixed here, each with its
 one-line derivation, and no other module writes one out:
@@ -49,14 +49,8 @@ except ValueError as exc:
 
 
 def default_tolerance() -> float:
-    """Return the current process-wide tolerance."""
+    """Return the process-wide tolerance."""
     return _default_tolerance
-
-
-def set_default_tolerance(tol: float) -> None:
-    """Set the process-wide tolerance used when an operation gets tol=None."""
-    global _default_tolerance
-    _default_tolerance = _validated(tol)
 
 
 def resolve_tolerance(tol: float | None) -> float:

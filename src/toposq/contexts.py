@@ -20,7 +20,6 @@ import numpy as np
 from .config import ID_DECIMALS, PARTITION_SLACK, resolve_tolerance
 from .errors import (
     DimensionMismatchError,
-    InternalInvariantViolation,
     MixedDimensionsError,
     NotAPartitionError,
     ScalarOperatorError,
@@ -42,6 +41,7 @@ __all__ = [
     "context_from_operator",
     "context_from_atoms",
     "includes",
+    "restriction_table",
     "coarsenings",
     "intersect",
     "build_poset",
@@ -141,13 +141,14 @@ class Context:
         return len(self._atoms)
 
     def atom(self, index: int) -> Projection:
-        return self._atoms[index]
+        return self._atoms[checked_index(index, len(self._atoms))]
 
     def sum_of_atoms(self, indices: Iterable[int], tol: float | None = None) -> Projection:
-        """The projection obtained by summing the selected atoms."""
-        return sum_of_projections(
-            (self._atoms[i] for i in indices), self.dim, tol
-        )
+        """The sum of the selected atoms; ValueError for an index out of range or given twice."""
+        checked = [checked_index(i, len(self._atoms)) for i in indices]
+        if len(set(checked)) != len(checked):
+            raise ValueError(f"atom indices {checked} repeat an index")
+        return sum_of_projections((self._atoms[i] for i in checked), self.dim, tol)
 
     def coefficients_in_span(
         self, a: HermitianOperator, tol: float | None = None
@@ -213,15 +214,31 @@ def context_from_operator(a: HermitianOperator, tol: float | None = None) -> Con
     return Context(structure.projections, tol)
 
 
-def includes(sub: Context, sup: Context, tol: float | None = None) -> bool:
-    """Whether sub is included in sup (every atom of sub is a sum of sup atoms)."""
+def restriction_table(
+    sub: Context, sup: Context, tol: float | None = None
+) -> tuple[int, ...] | None:
+    """Entry i is the sub atom whose decomposition into sup atoms holds sup
+    atom i; None unless every sub atom is a sum of sup atoms. The table is
+    total: the decompositions sum to the sub atoms, which sum to the identity."""
     tol = resolve_tolerance(tol)
     require_same_dim(sub, sup)
     if sub.id == sup.id:
-        return True
+        return tuple(range(sup.n_atoms))
     if sub.n_atoms > sup.n_atoms:
-        return False
-    return all(sup.contains_projection(q, tol) for q in sub.atoms)
+        return None
+    owner: dict[int, int] = {}
+    for j, q in enumerate(sub.atoms):
+        below = sup.decompose(q, tol)
+        if below is None:
+            return None
+        for i in below:
+            owner.setdefault(i, j)
+    return tuple(owner[i] for i in range(sup.n_atoms))
+
+
+def includes(sub: Context, sup: Context, tol: float | None = None) -> bool:
+    """Whether sub is included in sup (every atom of sub is a sum of sup atoms)."""
+    return restriction_table(sub, sup, tol) is not None
 
 
 def _set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -294,7 +311,10 @@ def intersect(v: Context, w: Context, tol: float | None = None) -> Context:
 def dominating_atom_index(
     context: Context, p: Projection, tol: float | None = None
 ) -> int | None:
-    """Index of the unique atom of ``context`` dominating p, or None."""
+    """Index of the first atom of ``context`` dominating p, or None.
+
+    A search over the atoms, kept as an independent check of the restriction
+    tables; nothing in the package calls it."""
     for i, atom in enumerate(context.atoms):
         if proj_leq(p, atom, tol):
             return i
@@ -304,9 +324,10 @@ def dominating_atom_index(
 class ContextPoset:
     """A finite set of same-dimension contexts ordered by inclusion.
 
-    Contexts are deduplicated by id and kept in id order. The inclusion
-    relation and the point-restriction tables along every comparable pair are
-    precomputed, so the poset is immutable and cheap to query.
+    Contexts are deduplicated by id and kept in id order, and of two members
+    that include each other at the tolerance only the first is kept. One
+    ``restriction_table`` call per pair precomputes the order and its tables,
+    so the poset is immutable and cheap to query.
     """
 
     __slots__ = ("_contexts", "_by_id", "_restriction")
@@ -327,18 +348,25 @@ class ContextPoset:
                 raise MixedDimensionsError(
                     f"contexts of dimension {dim} and {ctx.dim} in one poset"
                 )
-        # sub_id -> {sup_id: table} for every sup >= sub, the identity first
-        # and then the strict inclusions in id order: the only record of the
-        # order, so leq is one membership test.
-        restriction: dict[str, dict[str, tuple[int, ...]]] = {}
-        for sub in ordered:
-            up = restriction[sub.id] = {sub.id: tuple(range(sub.n_atoms))}
-            for sup in ordered:
-                if sub.id != sup.id and includes(sub, sup, tol):
-                    up[sup.id] = _restriction_table(sup, sub, tol)
-        self._contexts = ordered
-        self._by_id = by_id
-        self._restriction = restriction
+        # sub_id -> {sup_id: table} for every sup >= sub, sub itself included:
+        # the only record of the order, so leq is one membership test.
+        up = {
+            sub.id: {
+                sup.id: table
+                for sup in ordered
+                if (table := restriction_table(sub, sup, tol)) is not None
+            }
+            for sub in ordered
+        }
+        # Antisymmetry at the tolerance: of two members that include each
+        # other, only the first in id order stays.
+        kept: dict[str, Context] = {}
+        for v in ordered:
+            if not any(u in up[v.id] and v.id in up[u] for u in kept):
+                kept[v.id] = v
+        self._contexts = tuple(kept.values())
+        self._by_id = kept
+        self._restriction = {v: {w: up[v][w] for w in up[v] if w in kept} for v in kept}
 
     @property
     def contexts(self) -> tuple[Context, ...]:
@@ -399,18 +427,6 @@ class ContextPoset:
 
     def __repr__(self) -> str:
         return f"ContextPoset(dim={self.dim}, n_contexts={len(self._contexts)})"
-
-
-def _restriction_table(sup: Context, sub: Context, tol: float | None) -> tuple[int, ...]:
-    table = []
-    for atom in sup.atoms:
-        j = dominating_atom_index(sub, atom, tol)
-        if j is None:
-            raise InternalInvariantViolation(
-                "no dominating atom found along an inclusion; contexts are inconsistent"
-            )
-        table.append(j)
-    return tuple(table)
 
 
 def build_poset(

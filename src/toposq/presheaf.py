@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .config import resolve_tolerance
-from .contexts import Context, ContextPoset, checked_index, dominating_atom_index, includes
+from .contexts import Context, ContextPoset, checked_index, restriction_table
 from .errors import (
-    InternalInvariantViolation,
     NotInContextError,
     NotIncludedError,
     NotRestrictionClosedError,
@@ -73,19 +71,10 @@ def evaluate(point: GelfandPoint, a: HermitianOperator, tol: float | None = None
 
 def restrict(point: GelfandPoint, sub: Context, tol: float | None = None) -> GelfandPoint:
     """Image of a character under restriction to an included context."""
-    tol = resolve_tolerance(tol)
-    if sub.id == point.context.id:
-        return point
-    if not includes(sub, point.context, tol):
-        raise NotIncludedError(
-            f"context {sub.id} is not included in {point.context.id}"
-        )
-    j = dominating_atom_index(sub, point.atom, tol)
-    if j is None:
-        raise InternalInvariantViolation(
-            "restriction found no dominating atom along a valid inclusion"
-        )
-    return GelfandPoint(sub, j)
+    table = restriction_table(sub, point.context, tol)
+    if table is None:
+        raise NotIncludedError(f"context {sub.id} is not included in {point.context.id}")
+    return GelfandPoint(sub, table[point.index])
 
 
 def projection_to_points(
@@ -169,11 +158,6 @@ class ClopenSubobject:
     def component(self, v: Context | str) -> frozenset[int]:
         cid = v.id if isinstance(v, Context) else v
         return self._components[cid]
-
-    def points(self, v: Context | str) -> tuple[GelfandPoint, ...]:
-        """The component at v as actual points, in index order."""
-        ctx = self._poset.get(v.id if isinstance(v, Context) else v)
-        return tuple(GelfandPoint(ctx, i) for i in sorted(self._components[ctx.id]))
 
     def is_top(self) -> bool:
         return all(

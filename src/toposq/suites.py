@@ -359,14 +359,16 @@ def run_all(
 ) -> list[SuiteResult]:
     """Run every suite at every dimension with per-suite derived seeds.
 
-    trials = 0 yields an empty summary. ValueError for a dimension below 2 or
-    a negative trial count.
+    trials = 0 yields an empty summary. ValueError for a dimension below 2, a
+    negative trial count or a negative seed.
     """
     for dim in dims:
         if dim < 2:
             raise ValueError(f"props needs dimensions >= 2, got {dim}")
     if trials < 0:
         raise ValueError(f"props needs a non-negative trial count, got {trials}")
+    if seed < 0:
+        raise ValueError(f"props needs a non-negative seed, got {seed}")
     if trials == 0:
         return []
     results = []

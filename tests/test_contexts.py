@@ -458,6 +458,31 @@ def test_build_poset_order_is_partial_order(spin_poset):
                     assert spin_poset.leq(a, c)
 
 
+def test_mutually_included_members_keep_first_id():
+    # Two maximal contexts 2e-11 rad apart include each other at the
+    # tolerance, but cos^2 = 0.2500005 puts their rounded entries on either
+    # side of a sixth-decimal boundary, so they get two ids. The poset keeps
+    # only the first id, whatever the input order, and the coarsening closure
+    # keeps one copy of each of the three pairs of near-equal contexts.
+    def turned(angle):
+        c, s = np.cos(angle), np.sin(angle)
+        rays = ((c, s, 0.0), (-s, c, 0.0), (0.0, 0.0, 1.0))
+        return context_from_atoms([Projection.onto(np.array(r)) for r in rays])
+
+    angle = np.arccos(np.sqrt(0.2500005))
+    a, b = turned(angle + 1e-11), turned(angle - 1e-11)
+    assert a.id != b.id and includes(a, b) and includes(b, a)
+    for members in ([a, b], [b, a]):
+        assert ContextPoset(members).signature == (min(a.id, b.id),)
+    closure = build_poset([a, b], close_coarsening=True)
+    assert len(closure) == 4
+    assert len(closure.strict_pairs()) == 3
+    for x in closure:
+        for y in closure:
+            if closure.leq(x, y) and closure.leq(y, x):
+                assert x == y
+
+
 def test_build_poset_mixed_dims_rejected(eigen_context):
     v2 = context_from_atoms(
         [Projection(np.diag([1.0, 0.0])), Projection(np.diag([0.0, 1.0]))]

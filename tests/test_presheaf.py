@@ -35,6 +35,7 @@ from toposq import (
     restrict,
     spectrum,
 )
+from toposq.contexts import dominating_atom_index
 from toposq.sampling import random_maximal_context, random_poset
 
 
@@ -109,6 +110,15 @@ def test_point_atom_and_validation(eigen_context):
         with pytest.raises(ValueError):
             GelfandPoint(eigen_context, bad)
     assert points_to_projection([np.int64(1)], eigen_context).isclose(eigen_context.atom(1))
+    # Context.atom and Context.sum_of_atoms check their indices the same way,
+    # and an index given twice does not name a sum of distinct atoms.
+    for bad in (-1, 3, 7, 1.0, True):
+        with pytest.raises(ValueError, match="not an integer in"):
+            eigen_context.atom(bad)
+        with pytest.raises(ValueError, match="not an integer in"):
+            eigen_context.sum_of_atoms([bad])
+    with pytest.raises(ValueError, match="repeat"):
+        eigen_context.sum_of_atoms([0, 0])
 
 
 # --------------------------------------------------------------- evaluate
@@ -188,6 +198,26 @@ def test_restrict_functorial_and_surjective():
                     ):
                         assert restrict(restrict(pt, mid), sub) == tgt
             assert hit == set(range(sub.n_atoms))
+
+
+def test_restriction_tables_match_dominating_atom_oracle(spin_poset):
+    # The poset's tables, includes and restrict share one restriction_table
+    # pass; dominating_atom_index searches the sub atoms independently.
+    posets = [spin_poset]
+    for dim in (3, 4, 5):
+        v = random_maximal_context(dim, rng_for(47, dim))
+        posets.append(build_poset([v], close_coarsening=True))
+    posets.append(build_poset(peres_bases(), close_intersection=True))
+    rng = rng_for(48)
+    posets += [random_poset(3 + trial % 2, rng) for trial in range(9)]
+    for poset in posets:
+        for sub_id, sup_id in poset.strict_pairs():
+            sub, sup = poset.get(sub_id), poset.get(sup_id)
+            for i in range(sup.n_atoms):
+                want = dominating_atom_index(sub, sup.atom(i))
+                assert want is not None
+                assert poset.restriction_index(sup, sub, i) == want
+                assert restrict(GelfandPoint(sup, i), sub).index == want
 
 
 def test_restrict_is_functional_restriction(sz, eigen_context, basis_projs):

@@ -1,5 +1,6 @@
 """Source checks: every hand-set numerical threshold lives in toposq.config,
-and the package never imports the benchmark or its oracles."""
+the package never imports the benchmark or its oracles, and the atom search
+``dominating_atom_index`` stays a test oracle."""
 
 from __future__ import annotations
 
@@ -43,3 +44,17 @@ def test_no_benchmark_or_oracle_imports():
                 if "perfbench" in parts or "oracle" in parts:
                     found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == [], "benchmark imports in src/toposq: " + ", ".join(found)
+
+
+def test_dominating_atom_index_not_called_in_package():
+    # Restriction tables come from one restriction_table pass; the atom
+    # search that checks them in the tests must not feed them.
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "dominating_atom_index":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == [], "dominating_atom_index called in src/toposq: " + ", ".join(found)
