@@ -6,166 +6,25 @@ algebra, the spectral presheaf over it with its Heyting algebra of clopen
 subobjects, inner/outer approximation (daseinisation) of projections and
 self-adjoint operators to contexts, and the generalised values operators take
 on the pseudo-states of unit vectors.
+
+A name is public exactly when its module's ``__all__`` lists it; the package
+re-exports the union of those lists.
 """
 
-from .config import default_tolerance
-from .contexts import (
-    Context,
-    ContextPoset,
-    build_poset,
-    coarsenings,
-    context_from_atoms,
-    context_from_operator,
-    includes,
-    intersect,
-)
-from .daseinisation import (
-    daseinise_projection,
-    inner_projection,
-    outer_projection,
-)
-from .errors import (
-    DimensionMismatchError,
-    InternalInvariantViolation,
-    InvalidFamilyError,
-    MixedDimensionsError,
-    NotAPartitionError,
-    NotAProjectionError,
-    NotHermitianError,
-    NotInContextError,
-    NotIncludedError,
-    NotNormalizedError,
-    NotRestrictionClosedError,
-    ParseError,
-    PosetMismatchError,
-    ScalarOperatorError,
-    ToposqError,
-    TrivialIntersectionError,
-    UnsupportedFeatureError,
-)
-from .linalg import (
-    EigenStructure,
-    HermitianOperator,
-    Projection,
-    SpectralFamily,
-    canonical_projection,
-    eigenstructure,
-    from_spectral_family,
-    operator_norm,
-    proj_join,
-    proj_leq,
-    proj_meet,
-    spectral_family,
-)
-from .operators import (
-    OperatorArrow,
-    OrderPair,
-    PrincipalFilter,
-    antonymous,
-    cone,
-    filter_from_point,
-    gelfand_transform_inner,
-    gelfand_transform_outer,
-    inner_operator,
-    observable,
-    operator_arrow,
-    outer_operator,
-    spectral_leq,
-)
-from .presheaf import (
-    ClopenSubobject,
-    GelfandPoint,
-    evaluate,
-    global_sections,
-    points_to_projection,
-    projection_to_points,
-    restrict,
-    spectrum,
-)
-from .states import (
-    ContainmentReport,
-    ContainmentRow,
-    UnitVector,
-    ValueSubobject,
-    check_containment,
-    containment_report,
-    expectation,
-    pseudo_state,
-    value,
-)
+from . import config, contexts, daseinisation, errors, linalg, operators, presheaf, states
+from .config import *
+from .contexts import *
+from .daseinisation import *
+from .errors import *
+from .linalg import *
+from .operators import *
+from .presheaf import *
+from .states import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "default_tolerance",
-    "Context",
-    "ContextPoset",
-    "build_poset",
-    "coarsenings",
-    "context_from_atoms",
-    "context_from_operator",
-    "includes",
-    "intersect",
-    "daseinise_projection",
-    "inner_projection",
-    "outer_projection",
-    "ToposqError",
-    "ParseError",
-    "UnsupportedFeatureError",
-    "NotHermitianError",
-    "NotAProjectionError",
-    "DimensionMismatchError",
-    "InvalidFamilyError",
-    "NotAPartitionError",
-    "ScalarOperatorError",
-    "MixedDimensionsError",
-    "TrivialIntersectionError",
-    "NotInContextError",
-    "NotIncludedError",
-    "PosetMismatchError",
-    "NotRestrictionClosedError",
-    "NotNormalizedError",
-    "InternalInvariantViolation",
-    "EigenStructure",
-    "HermitianOperator",
-    "Projection",
-    "SpectralFamily",
-    "canonical_projection",
-    "eigenstructure",
-    "from_spectral_family",
-    "operator_norm",
-    "proj_join",
-    "proj_leq",
-    "proj_meet",
-    "spectral_family",
-    "OperatorArrow",
-    "OrderPair",
-    "PrincipalFilter",
-    "antonymous",
-    "cone",
-    "filter_from_point",
-    "gelfand_transform_inner",
-    "gelfand_transform_outer",
-    "inner_operator",
-    "observable",
-    "operator_arrow",
-    "outer_operator",
-    "spectral_leq",
-    "ClopenSubobject",
-    "GelfandPoint",
-    "evaluate",
-    "global_sections",
-    "points_to_projection",
-    "projection_to_points",
-    "restrict",
-    "spectrum",
-    "ContainmentReport",
-    "ContainmentRow",
-    "UnitVector",
-    "ValueSubobject",
-    "check_containment",
-    "containment_report",
-    "expectation",
-    "pseudo_state",
-    "value",
+    name
+    for module in (config, contexts, daseinisation, errors, linalg, operators, presheaf, states)
+    for name in module.__all__
 ]

@@ -129,7 +129,12 @@ def cmd_value(args: argparse.Namespace) -> int:
 
 
 def cmd_props(args: argparse.Namespace) -> int:
-    dims = tuple(int(d) for d in args.dims.split(","))
+    try:
+        dims = tuple(int(d) for d in args.dims.split(","))
+    except ValueError:
+        raise ValueError(
+            f"props needs comma-separated integer dimensions, got {args.dims!r}"
+        ) from None
     results = run_all(dims=dims, trials=args.trials, seed=args.seed, tol=args.tol)
     failures = sum(r.failures for r in results)
     if args.format == "json":

@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 import os
 
+__all__ = ["default_tolerance"]
+
 _FACTORY_DEFAULT = 1e-9
 
 PARTITION_SLACK = 1e-10

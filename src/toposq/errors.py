@@ -6,6 +6,26 @@ conditions that are mathematically impossible given validated inputs; seeing
 one means a bug, not bad input.
 """
 
+__all__ = [
+    "ToposqError",
+    "ParseError",
+    "UnsupportedFeatureError",
+    "NotHermitianError",
+    "NotAProjectionError",
+    "DimensionMismatchError",
+    "InvalidFamilyError",
+    "NotAPartitionError",
+    "ScalarOperatorError",
+    "MixedDimensionsError",
+    "TrivialIntersectionError",
+    "NotInContextError",
+    "NotIncludedError",
+    "PosetMismatchError",
+    "NotRestrictionClosedError",
+    "NotNormalizedError",
+    "InternalInvariantViolation",
+]
+
 
 class ToposqError(Exception):
     """Base class for all errors raised by this package."""

@@ -12,6 +12,7 @@ spectral norm, and the projection order is P <= Q iff QP = P within tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -282,6 +283,8 @@ class SpectralFamily:
                 f"need equally many thresholds and steps, >= 1 each; "
                 f"got {len(thresholds)} and {len(steps)}"
             )
+        if not all(math.isfinite(t) for t in thresholds):
+            raise InvalidFamilyError(f"thresholds must be finite, got {list(thresholds)}")
         for left, right in zip(thresholds, thresholds[1:]):
             if not right > left:
                 raise InvalidFamilyError(

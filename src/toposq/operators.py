@@ -17,6 +17,7 @@ operators, which is what the operator arrow records per point and subcontext.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 import numpy as np
@@ -246,6 +247,8 @@ class OrderPair:
             (cid, float(mu[cid]), float(nu[cid])) for cid in sorted(mu)
         )
         for cid, lo, hi in items:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"non-finite bound at context {cid}: [{lo!r}, {hi!r}]")
             if lo > hi + ORDER_PAIR_SLACK:
                 raise ValueError(
                     f"mu exceeds nu at context {cid}: {lo!r} > {hi!r}"

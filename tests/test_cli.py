@@ -280,6 +280,8 @@ def test_density_matrix_state_is_input_error(files, capsys):
         (["--dims", "2,1"], "got 1"),
         (["--trials", "-5"], "got -5"),
         (["--seed", "-1"], "seed, got -1"),
+        (["--dims", "2,,3"], "integer dimensions, got '2,,3'"),
+        (["--dims", "a"], "integer dimensions, got 'a'"),
     ],
 )
 def test_props_bad_dims_or_trials_is_input_error(capsys, argv, bad):

@@ -342,6 +342,10 @@ def test_spectral_family_validation():
         SpectralFamily([0.0, 1.0], [p, p.complement()])  # not nested
     with pytest.raises(InvalidFamilyError):
         SpectralFamily([0.0, 1.0], [p, p])  # no strict growth
+    for thresholds in ([float("nan")], [0.0, float("inf")], [-float("inf"), 0.0]):
+        steps = [one] if len(thresholds) == 1 else [p, one]
+        with pytest.raises(InvalidFamilyError, match="thresholds must be finite"):
+            SpectralFamily(thresholds, steps)  # a jump at a non-finite point
 
 
 def test_complex_asymmetric_rejected_at_construction():

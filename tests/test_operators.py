@@ -87,6 +87,24 @@ def outer_extremum_oracle(a: HermitianOperator, v: Context) -> HermitianOperator
     return bottoms[0]
 
 
+def closed_form_interval(a: HermitianOperator, q: Projection, tol: float = 1e-9):
+    """[min, max] of A's eigenvalues whose eigenprojection P overlaps Q
+    (||P Q|| > tol), with raw eigenvalues at most tol apart clustered to their
+    mean; numpy only."""
+    values, vectors = np.linalg.eigh(a.matrix)
+    runs = [[0]]
+    for k in range(1, len(values)):
+        if values[k] - values[k - 1] > tol:
+            runs.append([])
+        runs[-1].append(k)
+    hits = [
+        float(np.mean(values[run]))
+        for run in runs
+        if np.linalg.norm(vectors[:, run] @ vectors[:, run].conj().T @ q.matrix, 2) > tol
+    ]
+    return min(hits), max(hits)
+
+
 def v_p1_context() -> Context:
     p1 = Projection(np.diag([1.0, 0.0, 0.0]))
     return context_from_atoms([p1, p1.complement()])
@@ -398,6 +416,35 @@ def test_arrow_monotonicity_and_spec_membership():
                             assert pair.nu(sub_id) >= pair.nu(sup_id) - 1e-12
 
 
+def test_arrow_matches_closed_form(sz, spin_poset):
+    # Every interval of pair(v, i) at w is [min, max] of the eigenvalues whose
+    # eigenspaces overlap the atom of w that point i restricts to.
+    rng = rng_for(75)
+    cases = [(sz, spin_poset)]
+    for dim in (3, 4, 5):
+        v = random_maximal_context(dim, rng)
+        poset = build_poset([v], close_coarsening=True)
+        repeated = rng.standard_normal(dim)
+        repeated[1] = repeated[0]
+        in_span = HermitianOperator(sum(x * atom.matrix for x, atom in zip(repeated, v.atoms)))
+        cases += [(in_span, poset), (random_hermitian(dim, rng), poset)]
+    for trial in range(6):
+        poset = random_poset(3 + trial % 2, rng)
+        cases.append((random_hermitian(poset.dim, rng), poset))
+    checked = 0
+    for a, poset in cases:
+        arrow = operator_arrow(a, poset)
+        for v in poset:
+            for i in range(v.n_atoms):
+                for w_id, lo, hi in arrow.pair(v, i).intervals():
+                    q = poset.get(w_id).atom(poset.restriction_index(v, w_id, i))
+                    want = closed_form_interval(a, q)
+                    assert lo == pytest.approx(want[0], abs=1e-12)
+                    assert hi == pytest.approx(want[1], abs=1e-12)
+                    checked += 1
+    assert checked > 1000
+
+
 def test_arrow_naturality_explicit(sz, spin_poset):
     arrow = operator_arrow(sz, spin_poset)
     for sub_id, sup_id in spin_poset.strict_pairs():
@@ -432,3 +479,9 @@ def test_eigenvector_point_gives_degenerate_interval():
     assert OrderPair({"v": 0.9e-12}, {"v": 0.0}).interval("v") == (0.9e-12, 0.0)
     with pytest.raises(ValueError):
         OrderPair({"v": 1.1e-12}, {"v": 0.0})
+    # NaN compares False against the slack, and an infinite pair is ordered;
+    # both are rejected by name.
+    with pytest.raises(ValueError, match="non-finite bound at context v"):
+        OrderPair({"v": float("nan")}, {"v": 0.0})
+    with pytest.raises(ValueError, match="non-finite bound at context v"):
+        OrderPair({"v": -float("inf")}, {"v": float("inf")})

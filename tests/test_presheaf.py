@@ -200,9 +200,10 @@ def test_restrict_functorial_and_surjective():
             assert hit == set(range(sub.n_atoms))
 
 
-def test_restriction_tables_match_dominating_atom_oracle(spin_poset):
-    # The poset's tables, includes and restrict share one restriction_table
-    # pass; dominating_atom_index searches the sub atoms independently.
+@pytest.fixture(scope="module")
+def table_posets(spin_poset):
+    """The spin poset, coarsening closures at dims 3-5, full Peres and 9
+    random_poset draws."""
     posets = [spin_poset]
     for dim in (3, 4, 5):
         v = random_maximal_context(dim, rng_for(47, dim))
@@ -210,7 +211,13 @@ def test_restriction_tables_match_dominating_atom_oracle(spin_poset):
     posets.append(build_poset(peres_bases(), close_intersection=True))
     rng = rng_for(48)
     posets += [random_poset(3 + trial % 2, rng) for trial in range(9)]
-    for poset in posets:
+    return posets
+
+
+def test_restriction_tables_match_dominating_atom_oracle(table_posets):
+    # The poset's tables, includes and restrict share one restriction_table
+    # pass; dominating_atom_index searches the sub atoms independently.
+    for poset in table_posets:
         for sub_id, sup_id in poset.strict_pairs():
             sub, sup = poset.get(sub_id), poset.get(sup_id)
             for i in range(sup.n_atoms):
@@ -218,6 +225,18 @@ def test_restriction_tables_match_dominating_atom_oracle(spin_poset):
                 assert want is not None
                 assert poset.restriction_index(sup, sub, i) == want
                 assert restrict(GelfandPoint(sup, i), sub).index == want
+
+
+def test_restriction_tables_are_functorial(table_posets):
+    # Restricting along w -> v -> u lands where w -> u does, for every chain
+    # u <= v <= w (identities included).
+    for poset in table_posets:
+        for w in poset:
+            for v in poset.down_set(w):
+                for u in poset.down_set(v):
+                    for i in range(w.n_atoms):
+                        via_v = poset.restriction_index(v, u, poset.restriction_index(w, v, i))
+                        assert poset.restriction_index(w, u, i) == via_v
 
 
 def test_restrict_is_functional_restriction(sz, eigen_context, basis_projs):
