@@ -2,10 +2,11 @@
 
 The spectral order compares operators through their spectral families:
 A <=s B iff E^A_r >= E^B_r for every r. Daseinising an operator to a context
-applies the projection approximations step by step to its spectral family:
-the inner approximation of A maps every step through the outer projection
-approximation, the outer approximation maps every step through the inner one.
-Both land in the context and bracket A in the spectral order.
+is defined on its spectral family: the inner approximation of A maps every
+step through the outer projection approximation, the outer one through the
+inner one; both bracket A in the spectral order. On the context's atoms Q
+this is the closed form computed here: sum_Q min{lambda : P_lambda Q != 0} Q
+(inner) and sum_Q max{...} Q (outer), P_lambda the eigenprojections of A.
 
 Filters here are principal: determined by a generator projection, tagged
 either to a context's projection lattice or to the ambient lattice of all
@@ -24,7 +25,6 @@ import numpy as np
 
 from .config import ORDER_PAIR_SLACK, resolve_tolerance
 from .contexts import Context, ContextPoset
-from .daseinisation import inner_projection, outer_projection
 from .errors import (
     DimensionMismatchError,
     InternalInvariantViolation,
@@ -33,9 +33,9 @@ from .errors import (
 from .linalg import (
     HermitianOperator,
     Projection,
-    SpectralFamily,
     clusters,
-    from_spectral_family,
+    eigenstructure,
+    operator_norm,
     proj_leq,
     require_same_dim,
     spectral_family,
@@ -62,21 +62,19 @@ __all__ = [
 def spectral_leq(a: HermitianOperator, b: HermitianOperator, tol: float | None = None) -> bool:
     """Spectral order: A <=s B iff E^A_r >= E^B_r for all r.
 
-    Checked on the merged threshold grid of both families plus a sample
-    between consecutive grid values (the families are constant there).
-    Thresholds of the two families closer than tol are treated as the same
-    jump point: each cluster is sampled once, past all its members, so that
-    sub-tolerance eigenvalue noise cannot manufacture a violation.
+    Checked on the merged threshold grid of both families: they are
+    right-continuous and constant between grid values, so a value between
+    two grid points has the steps of the one below it. Thresholds of the two
+    families closer than tol are treated as the same jump point: each cluster
+    is sampled once, past all its members, so that sub-tolerance eigenvalue
+    noise cannot manufacture a violation.
     """
     tol = resolve_tolerance(tol)
     require_same_dim(a, b)
     fa = spectral_family(a, tol)
     fb = spectral_family(b, tol)
     grid = sorted(set(fa.thresholds) | set(fb.thresholds))
-    runs = clusters(grid, tol)
-    samples = [grid[run[-1]] for run in runs]
-    for left, right in zip(runs, runs[1:]):
-        samples.append((grid[left[-1]] + grid[right[0]]) / 2.0)
+    samples = [grid[run[-1]] for run in clusters(grid, tol)]
     return all(
         proj_leq(fb.value_at(r), fa.value_at(r), tol) for r in samples
     )
@@ -171,46 +169,42 @@ def observable(a: HermitianOperator, f: PrincipalFilter, tol: float | None = Non
     raise InternalInvariantViolation("observable scan fell through a spectral family")
 
 
-def _map_family_through(
-    family: SpectralFamily,
-    mapped_steps: list[Projection],
-    tol: float,
-) -> HermitianOperator:
-    # Drop steps that collapsed to their predecessor (or to zero at the front)
-    # and rebuild the operator from what remains. Monotonicity of the
-    # approximations keeps the reduced family valid.
-    dim = family.dim
-    thresholds: list[float] = []
-    steps: list[Projection] = []
-    prev = Projection.zero(dim)
-    for t, step in zip(family.thresholds, mapped_steps):
-        if not step.isclose(prev, tol):
-            thresholds.append(t)
-            steps.append(step)
-            prev = step
-    reduced = SpectralFamily(thresholds, steps, tol)
-    return from_spectral_family(reduced)
+def _daseinised(a: HermitianOperator, v: Context, tol: float | None, extreme) -> HermitianOperator:
+    # hit[i, k]: atom i overlaps eigenprojection k (||Q_i P_k|| > tol); atom i's
+    # coefficient is eigenvalue extreme(hits of i). sum_i c_i Q_i is summed as the
+    # staircase sum_k t_k (S_k - S_k-1), S_k the atoms at or below t_k, which gives
+    # the floats of the spectral-step route, so value subobjects dedupe alike.
+    tol = resolve_tolerance(tol)
+    require_same_dim(a, v)
+    structure = eigenstructure(a, tol)
+    atoms = np.stack([atom.matrix for atom in v.atoms])
+    eigenprojections = np.stack([proj.matrix for proj in structure.projections])
+    hit = operator_norm(atoms[:, None] @ eigenprojections[None]) > tol
+    level = [extreme(np.flatnonzero(row)) for row in hit]
+    acc = np.zeros_like(atoms[0])
+    prev = np.zeros_like(atoms[0])
+    for k in sorted(set(level)):
+        step = v.sum_of_atoms([i for i, j in enumerate(level) if j <= k], tol).matrix
+        acc += structure.eigenvalues[k] * (step - prev)
+        prev = step
+    return HermitianOperator(acc)
 
 
 def inner_operator(a: HermitianOperator, v: Context, tol: float | None = None) -> HermitianOperator:
     """Best approximation of A from below (in the spectral order) within v.
 
-    Every spectral step is replaced by its outer projection approximation,
-    which lowers the operator while keeping it in the context.
+    By definition each spectral step of A goes through its outer projection
+    approximation. An atom Q enters those steps at the least eigenvalue whose
+    eigenprojection P overlaps it: the result is sum_Q min{lambda : PQ != 0} Q.
     """
-    tol = resolve_tolerance(tol)
-    family = spectral_family(a, tol)
-    mapped = [outer_projection(step, v, tol) for step in family.steps]
-    return _map_family_through(family, mapped, tol)
+    return _daseinised(a, v, tol, np.min)
 
 
 def outer_operator(a: HermitianOperator, v: Context, tol: float | None = None) -> HermitianOperator:
-    """Best approximation of A from above (in the spectral order) within v:
-    every spectral step is replaced by its inner projection approximation."""
-    tol = resolve_tolerance(tol)
-    family = spectral_family(a, tol)
-    mapped = [inner_projection(step, v, tol) for step in family.steps]
-    return _map_family_through(family, mapped, tol)
+    """Best approximation of A from above within v: each spectral step goes
+    through its inner projection approximation, which holds an atom Q once r
+    passes the largest eigenvalue overlapping Q: sum_Q max{lambda : PQ != 0} Q."""
+    return _daseinised(a, v, tol, np.max)
 
 
 def gelfand_transform_inner(

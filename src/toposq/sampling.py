@@ -61,8 +61,10 @@ def random_context(
     """Random context with the requested atom count (default: uniform 2..dim).
 
     Columns of a Haar unitary are split into consecutive blocks with random
-    cut points; each block spans one atom.
+    cut points; each block spans one atom. ValueError before any draw for dim < 2.
     """
+    if dim < 2:
+        raise ValueError(f"a context needs dimension >= 2, got {dim}")
     if n_atoms is None:
         n_atoms = int(rng.integers(2, dim + 1))
     if not 2 <= n_atoms <= dim:

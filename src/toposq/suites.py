@@ -359,9 +359,12 @@ def run_all(
 ) -> list[SuiteResult]:
     """Run every suite at every dimension with per-suite derived seeds.
 
-    trials = 0 yields an empty summary. ValueError for a dimension below 2, a
-    negative trial count or a negative seed.
+    trials = 0 yields an empty summary. ValueError for a non-integer or bool
+    argument, a dimension below 2, or a negative trial count or seed.
     """
+    for name, value in [*(("dims", d) for d in dims), ("trials", trials), ("seed", seed)]:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"props needs integer {name}, got {value!r}")
     for dim in dims:
         if dim < 2:
             raise ValueError(f"props needs dimensions >= 2, got {dim}")

@@ -33,7 +33,7 @@ from toposq import (
     proj_leq,
 )
 from toposq.contexts import _blocks
-from toposq.sampling import random_maximal_context
+from toposq.sampling import random_context, random_maximal_context
 
 
 # ---------------------------------------------------------------- oracles
@@ -520,3 +520,19 @@ def test_atom_index_helper(eigen_context, basis_projs):
     assert atom_index(eigen_context, p3) == 0
     assert atom_index(eigen_context, p2) == 1
     assert atom_index(eigen_context, p1) == 2
+
+
+def test_random_context_rejects_dimension_below_two_before_drawing():
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    for dim in (1, 0):
+        with pytest.raises(ValueError, match=f"dimension >= 2, got {dim}"):
+            random_context(dim, rng)
+    assert rng.bit_generator.state == state
+    # Draws for valid dimensions are the ones recorded before the check.
+    assert [random_context(d, rng).id for d in (2, 3, 4, 5)] == [
+        "21554f4c157517d0", "a2bd96ca3ef2f62f", "510a02f8e1a698f7", "a4d9dd106d844d5b",
+    ]
+    assert [random_context(4, rng, n_atoms=k).id for k in (2, 3, 4)] == [
+        "d4516e3db6f6a095", "eedc3a7d870afc04", "5cd5206ae9c40926",
+    ]

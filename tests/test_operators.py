@@ -14,15 +14,18 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+import toposq.operators
 from conftest import SQ2, atom_index, rng_for
 from toposq import (
     Context,
+    DimensionMismatchError,
     GelfandPoint,
     HermitianOperator,
     InternalInvariantViolation,
     OrderPair,
     PrincipalFilter,
     Projection,
+    SpectralFamily,
     antonymous,
     build_poset,
     cone,
@@ -31,6 +34,7 @@ from toposq import (
     eigenstructure,
     evaluate,
     filter_from_point,
+    from_spectral_family,
     gelfand_transform_inner,
     gelfand_transform_outer,
     inner_operator,
@@ -42,6 +46,7 @@ from toposq import (
     outer_projection,
     proj_leq,
     restrict,
+    spectral_family,
     spectral_leq,
     spectrum,
 )
@@ -341,23 +346,93 @@ def test_gelfand_transforms_worked(sz, basis_projs):
     assert gelfand_transform_outer(sz, lam2) == pytest.approx(0.0, abs=1e-12)
 
 
+def routes_inputs(dim: int, v: Context, rng: np.random.Generator):
+    """A random operator, a projection, a member of v with a repeated
+    coefficient when v has more than two atoms, and an operator with a
+    repeated eigenvalue in the span of another maximal context."""
+    yield random_hermitian(dim, rng)
+    yield random_projection(dim, rng)
+    coeffs = rng.standard_normal(v.n_atoms)
+    if v.n_atoms > 2:
+        coeffs[1] = coeffs[0]
+    yield HermitianOperator(sum(c * q.matrix for c, q in zip(coeffs, v.atoms)))
+    u = random_maximal_context(dim, rng)
+    values = rng.standard_normal(dim)
+    values[-1] = values[0]
+    yield HermitianOperator(sum(c * q.matrix for c, q in zip(values, u.atoms)))
+
+
 def test_gelfand_transform_routes_agree():
-    rng = rng_for(71)
-    for _ in range(40):
-        a = random_hermitian(3, rng)
-        v = random_context(3, rng)
-        inner = inner_operator(a, v)
-        outer = outer_operator(a, v)
-        for pt in spectrum(v):
-            assert gelfand_transform_inner(a, pt) == pytest.approx(
-                evaluate(pt, inner), abs=1e-9
-            )
-            assert gelfand_transform_outer(a, pt) == pytest.approx(
-                evaluate(pt, outer), abs=1e-9
-            )
-            assert gelfand_transform_inner(a, pt) <= gelfand_transform_outer(
-                a, pt
-            ) + 1e-12
+    """The closed-form daseinised operators against the spectral-family
+    filter scans, at every character of every context."""
+    checked = 0
+    for dim in range(2, 7):
+        rng = rng_for(71, dim)
+        for _ in range(8):
+            v = random_context(dim, rng)
+            for a in routes_inputs(dim, v, rng):
+                inner = inner_operator(a, v)
+                outer = outer_operator(a, v)
+                for pt in spectrum(v):
+                    lo = gelfand_transform_inner(a, pt)
+                    hi = gelfand_transform_outer(a, pt)
+                    assert lo == pytest.approx(evaluate(pt, inner), abs=1e-9)
+                    assert hi == pytest.approx(evaluate(pt, outer), abs=1e-9)
+                    assert lo <= hi + 1e-12
+                    checked += 1
+    assert checked > 400
+
+
+def spectral_step_route(a: HermitianOperator, v: Context, approximate) -> HermitianOperator:
+    """The definition: map every spectral step of A through a projection
+    approximation to v, drop the steps that collapse, and reassemble."""
+    family = spectral_family(a)
+    thresholds, steps, prev = [], [], Projection.zero(a.dim)
+    for t, step in zip(family.thresholds, family.steps):
+        mapped = approximate(step, v)
+        if not mapped.isclose(prev):
+            thresholds.append(t)
+            steps.append(mapped)
+            prev = mapped
+    return from_spectral_family(SpectralFamily(thresholds, steps))
+
+
+def test_daseinised_operators_equal_the_spectral_step_route_exactly():
+    """Same floats, not only close ones: value subobjects dedupe pairs by
+    exact equality, so a last-bit change would change their size."""
+    for dim in range(2, 7):
+        rng = rng_for(77, dim)
+        for _ in range(6):
+            v = random_context(dim, rng)
+            for a in routes_inputs(dim, v, rng):
+                want_inner = spectral_step_route(a, v, outer_projection).matrix
+                want_outer = spectral_step_route(a, v, inner_projection).matrix
+                assert np.array_equal(inner_operator(a, v).matrix, want_inner)
+                assert np.array_equal(outer_operator(a, v).matrix, want_outer)
+
+
+def test_daseinised_operators_reject_dimension_mismatch():
+    v = random_context(3, rng_for(74))
+    a = random_hermitian(4, rng_for(75))
+    for daseinise in (inner_operator, outer_operator):
+        with pytest.raises(DimensionMismatchError):
+            daseinise(a, v)
+
+
+def test_daseinised_operators_skip_the_spectral_family(monkeypatch):
+    """The closed form reads one eigenstructure; the spectral family stays
+    with the filter scans."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectral_family called")
+
+    rng = rng_for(76)
+    a, v = random_hermitian(3, rng), random_context(3, rng)
+    want = (inner_operator(a, v), outer_operator(a, v))
+    monkeypatch.setattr(toposq.operators, "spectral_family", refuse)
+    assert inner_operator(a, v).isclose(want[0], 1e-12)
+    assert outer_operator(a, v).isclose(want[1], 1e-12)
+    with pytest.raises(AssertionError):
+        spectral_leq(a, a)
 
 
 def test_member_transforms_collapse(sz, eigen_context):

@@ -7,6 +7,7 @@ import json
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 import toposq.suites as suites
 from toposq.cli import main
@@ -71,3 +72,18 @@ def test_containment_notes_at_most_three_violations_per_trial(monkeypatch):
     result = suites.suite_containment(2, 2, np.random.default_rng(0))
     assert result.failures == 2
     assert result.notes == [f"trial {k}: violation w{i}" for k in range(2) for i in range(3)]
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"dims": (2.5,), "trials": 1}, "dims"),
+        ({"dims": (True,), "trials": 1}, "dims"),
+        ({"trials": 1.5}, "trials"),
+        ({"trials": True}, "trials"),
+        ({"trials": 1, "seed": 1.5}, "seed"),
+    ],
+)
+def test_run_all_rejects_non_integer_arguments(kwargs, name):
+    with pytest.raises(ValueError, match=f"props needs integer {name}, got "):
+        suites.run_all(**kwargs)
