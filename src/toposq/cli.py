@@ -167,7 +167,8 @@ def _add_common(parser: argparse.ArgumentParser, closures: bool = False, seed: b
         parser.add_argument("--close-coarsening", action="store_true",
                             help="add every coarsening of every context")
         parser.add_argument("--close-intersection", action="store_true",
-                            help="add pairwise nontrivial intersections")
+                            help="add every nontrivial intersection of any set of the "
+                            "given contexts (the whole intersection closure)")
     if seed:
         parser.add_argument("--seed", type=int, default=0, help="random seed")
 

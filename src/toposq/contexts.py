@@ -117,11 +117,13 @@ class Context:
             raise NotAPartitionError(
                 f"atoms do not sum to the identity (defect {defect:.3e})"
             )
-        self._atoms = tuple(sorted(atoms, key=_atom_sort_key))
+        keys = [_atom_sort_key(atom) for atom in atoms]
+        order = sorted(range(len(atoms)), key=keys.__getitem__)
+        self._atoms = tuple(atoms[i] for i in order)
         digest = hashlib.sha256()
         digest.update(str(dim).encode())
-        for atom in self._atoms:
-            digest.update(_atom_sort_key(atom))
+        for i in order:
+            digest.update(keys[i])
         self._id = digest.hexdigest()[:16]
 
     @property
@@ -264,15 +266,19 @@ def _set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 def coarsenings(v: Context, tol: float | None = None) -> tuple[Context, ...]:
     """All contexts obtained by merging atoms of v into >= 2 blocks.
 
-    Includes v itself (the partition into singletons). Ordered by id.
+    Includes v itself, as the partition into singletons. Ordered by id. A
+    block shared by several partitions is summed once per call.
     """
     tol = resolve_tolerance(tol)
-    result = []
+    result = [v]
+    block_sums: dict[tuple[int, ...], Projection] = {}
     for partition in _set_partitions(v.n_atoms):
-        if len(partition) < 2:
+        if not 2 <= len(partition) < v.n_atoms:
             continue
-        atoms = [v.sum_of_atoms(block, tol) for block in partition]
-        result.append(Context(atoms, tol))
+        for block in partition:
+            if block not in block_sums:
+                block_sums[block] = v.sum_of_atoms(block, tol)
+        result.append(Context([block_sums[block] for block in partition], tol))
     return tuple(sorted(result, key=lambda c: c.id))
 
 

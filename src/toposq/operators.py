@@ -31,6 +31,7 @@ from .errors import (
     PosetMismatchError,
 )
 from .linalg import (
+    EigenStructure,
     HermitianOperator,
     Projection,
     clusters,
@@ -169,25 +170,31 @@ def observable(a: HermitianOperator, f: PrincipalFilter, tol: float | None = Non
     raise InternalInvariantViolation("observable scan fell through a spectral family")
 
 
-def _daseinised(a: HermitianOperator, v: Context, tol: float | None, extreme) -> HermitianOperator:
-    # hit[i, k]: atom i overlaps eigenprojection k (||Q_i P_k|| > tol); atom i's
-    # coefficient is eigenvalue extreme(hits of i). sum_i c_i Q_i is summed as the
-    # staircase sum_k t_k (S_k - S_k-1), S_k the atoms at or below t_k, which gives
-    # the floats of the spectral-step route, so value subobjects dedupe alike.
-    tol = resolve_tolerance(tol)
-    require_same_dim(a, v)
-    structure = eigenstructure(a, tol)
+def _daseinised(
+    structure: EigenStructure, v: Context, tol: float, extremes
+) -> tuple[HermitianOperator, ...]:
+    # hit[i, k]: atom i overlaps eigenprojection k (||Q_i P_k|| > tol); for each
+    # extreme, atom i's coefficient is eigenvalue extreme(hits of i). sum_i c_i Q_i
+    # is summed as the staircase sum_k t_k (S_k - S_k-1), S_k the atoms at or
+    # below t_k, which gives the floats of the spectral-step route, so value
+    # subobjects dedupe alike. The staircases share their steps S_k.
     atoms = np.stack([atom.matrix for atom in v.atoms])
     eigenprojections = np.stack([proj.matrix for proj in structure.projections])
     hit = operator_norm(atoms[:, None] @ eigenprojections[None]) > tol
-    level = [extreme(np.flatnonzero(row)) for row in hit]
-    acc = np.zeros_like(atoms[0])
-    prev = np.zeros_like(atoms[0])
-    for k in sorted(set(level)):
-        step = v.sum_of_atoms([i for i, j in enumerate(level) if j <= k], tol).matrix
-        acc += structure.eigenvalues[k] * (step - prev)
-        prev = step
-    return HermitianOperator(acc)
+    steps: dict[tuple[int, ...], np.ndarray] = {}
+    result = []
+    for extreme in extremes:
+        level = [extreme(np.flatnonzero(row)) for row in hit]
+        acc = np.zeros_like(atoms[0])
+        prev = np.zeros_like(atoms[0])
+        for k in sorted(set(level)):
+            below = tuple(i for i, j in enumerate(level) if j <= k)
+            if below not in steps:
+                steps[below] = v.sum_of_atoms(below, tol).matrix
+            acc += structure.eigenvalues[k] * (steps[below] - prev)
+            prev = steps[below]
+        result.append(HermitianOperator(acc))
+    return tuple(result)
 
 
 def inner_operator(a: HermitianOperator, v: Context, tol: float | None = None) -> HermitianOperator:
@@ -197,14 +204,18 @@ def inner_operator(a: HermitianOperator, v: Context, tol: float | None = None) -
     approximation. An atom Q enters those steps at the least eigenvalue whose
     eigenprojection P overlaps it: the result is sum_Q min{lambda : PQ != 0} Q.
     """
-    return _daseinised(a, v, tol, np.min)
+    tol = resolve_tolerance(tol)
+    require_same_dim(a, v)
+    return _daseinised(eigenstructure(a, tol), v, tol, (np.min,))[0]
 
 
 def outer_operator(a: HermitianOperator, v: Context, tol: float | None = None) -> HermitianOperator:
     """Best approximation of A from above within v: each spectral step goes
     through its inner projection approximation, which holds an atom Q once r
     passes the largest eigenvalue overlapping Q: sum_Q max{lambda : PQ != 0} Q."""
-    return _daseinised(a, v, tol, np.max)
+    tol = resolve_tolerance(tol)
+    require_same_dim(a, v)
+    return _daseinised(eigenstructure(a, tol), v, tol, (np.max,))[0]
 
 
 def gelfand_transform_inner(
@@ -325,15 +336,19 @@ def operator_arrow(
 ) -> OperatorArrow:
     """Compute the arrow of an operator over a context poset.
 
-    Per context the inner and outer approximations are evaluated at the
-    restriction of each character to every smaller context. Naturality (the
-    pair of a restricted character is the restriction of the pair) holds by
-    construction and is re-checked; failure raises InternalInvariantViolation.
+    A's eigenstructure is taken once for the whole poset. Per context, one
+    overlap test of its atoms against A's eigenprojections gives both the
+    inner and the outer approximation, whose staircases share their atom sums
+    (the same matrices as ``inner_operator`` and ``outer_operator``). Each is
+    evaluated at the restriction of each character to every smaller context.
+    Naturality (the pair of a restricted character is the restriction of the
+    pair) holds by construction and is re-checked; failure raises
+    InternalInvariantViolation.
     """
     tol = resolve_tolerance(tol)
     require_same_dim(a, poset)
-    inner = {v.id: inner_operator(a, v, tol) for v in poset}
-    outer = {v.id: outer_operator(a, v, tol) for v in poset}
+    structure = eigenstructure(a, tol)
+    daseinised = {v.id: _daseinised(structure, v, tol, (np.min, np.max)) for v in poset}
     components: dict[str, tuple[OrderPair, ...]] = {}
     for v in poset:
         pairs = []
@@ -342,8 +357,9 @@ def operator_arrow(
             nu: dict[str, float] = {}
             for w in poset.down_set(v):
                 image = restrict(point, w, tol)
-                mu[w.id] = evaluate(image, inner[w.id], tol)
-                nu[w.id] = evaluate(image, outer[w.id], tol)
+                inner, outer = daseinised[w.id]
+                mu[w.id] = evaluate(image, inner, tol)
+                nu[w.id] = evaluate(image, outer, tol)
             pairs.append(OrderPair(mu, nu))
         components[v.id] = tuple(pairs)
     arrow = OperatorArrow(poset, components)

@@ -41,10 +41,25 @@ def random_unit_vector(dim: int, rng: np.random.Generator) -> UnitVector:
     return UnitVector(vec / np.linalg.norm(vec))
 
 
+def _checked_count(value, name: str) -> int:
+    """value as an int; ValueError naming the argument unless it is a non-bool integer."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def random_projection(dim: int, rng: np.random.Generator, rank: int | None = None) -> Projection:
-    """Haar-random projection of the given rank (default: uniform in 1..dim-1)."""
+    """Haar-random projection of the given rank (default: uniform in 1..dim-1).
+
+    ValueError before any draw for a rank that is not an integer in [0, dim],
+    and for dim < 2 when the rank is drawn."""
     if rank is None:
+        if dim < 2:
+            raise ValueError(f"a random rank needs dimension >= 2, got {dim}")
         rank = int(rng.integers(1, dim))
+    rank = _checked_count(rank, "rank")
+    if not 0 <= rank <= dim:
+        raise ValueError(f"need 0 <= rank <= dim, got rank {rank} and dim {dim}")
     basis = haar_unitary(dim, rng)[:, :rank]
     return Projection(basis @ basis.conj().T)
 
@@ -61,12 +76,14 @@ def random_context(
     """Random context with the requested atom count (default: uniform 2..dim).
 
     Columns of a Haar unitary are split into consecutive blocks with random
-    cut points; each block spans one atom. ValueError before any draw for dim < 2.
+    cut points; each block spans one atom. ValueError before any draw for dim < 2
+    and for an n_atoms that is not an integer in [2, dim].
     """
     if dim < 2:
         raise ValueError(f"a context needs dimension >= 2, got {dim}")
     if n_atoms is None:
         n_atoms = int(rng.integers(2, dim + 1))
+    n_atoms = _checked_count(n_atoms, "n_atoms")
     if not 2 <= n_atoms <= dim:
         raise ValueError(f"need 2 <= n_atoms <= dim, got {n_atoms} and {dim}")
     unitary = haar_unitary(dim, rng)

@@ -230,6 +230,49 @@ def test_coarsenings_of_four_atom_context():
     assert len(cs) == count_set_partitions(4) - 1  # 14
 
 
+def growth_partitions(n: int):
+    """Set partitions of range(n) from restricted growth strings: element i
+    joins block s[i] <= 1 + max(s[:i]); blocks list their members in order."""
+    def rec(s):
+        if len(s) == n:
+            yield tuple(tuple(i for i in range(n) if s[i] == b) for b in range(max(s) + 1))
+            return
+        for b in range(max(s) + 2):
+            yield from rec(s + [b])
+
+    yield from rec([0])
+
+
+def test_coarsenings_hold_v_and_sum_each_block_once(monkeypatch):
+    rng = rng_for(91)
+    cases = [random_maximal_context(dim, rng) for dim in (2, 3, 4, 5)]
+    cases += [random_context(5, rng, n_atoms=k) for k in (2, 3, 4)]
+    original = Context.sum_of_atoms
+    for v in cases:
+        calls = []
+
+        def counting(self, indices, tol=None):
+            calls.append(tuple(indices))
+            return original(self, indices, tol)
+
+        monkeypatch.setattr(Context, "sum_of_atoms", counting)
+        cs = coarsenings(v)
+        monkeypatch.setattr(Context, "sum_of_atoms", original)
+        n = v.n_atoms
+        assert len(calls) == (2**n - 2 if n >= 3 else 0) == len(set(calls))
+        assert [c for c in cs if c.id == v.id][0] is v
+        # Every partition into >= 2 blocks, each block re-summed per partition.
+        route = {v.id: v}
+        for partition in growth_partitions(n):
+            if 2 <= len(partition) < n:
+                c = Context([v.sum_of_atoms(block) for block in partition])
+                route[c.id] = c
+        assert [c.id for c in cs] == sorted(route)
+        for c in cs:
+            want = route[c.id].atoms
+            assert all(np.array_equal(x.matrix, y.matrix) for x, y in zip(c.atoms, want))
+
+
 # ------------------------------------------------------------- intersect
 
 

@@ -520,6 +520,46 @@ def test_arrow_matches_closed_form(sz, spin_poset):
     assert checked > 1000
 
 
+def test_arrow_takes_one_eigenstructure(monkeypatch, sz, spin_poset):
+    calls = []
+
+    def counting(a, tol=None):
+        calls.append(a)
+        return eigenstructure(a, tol)
+
+    monkeypatch.setattr(toposq.operators, "eigenstructure", counting)
+    poset = build_poset([random_maximal_context(4, rng_for(78))], close_coarsening=True)
+    for a, p in ((sz, spin_poset), (random_hermitian(4, rng_for(79)), poset)):
+        calls.clear()
+        operator_arrow(a, p)
+        assert calls == [a]
+
+
+def test_arrow_equals_the_public_route_exactly(sz, spin_poset):
+    """The arrow's shared per-context work gives the floats of inner_operator,
+    outer_operator, restrict and evaluate called one by one."""
+    rng = rng_for(80)
+    cases = [(sz, spin_poset)]
+    for dim in (3, 4, 5):
+        v = random_maximal_context(dim, rng)
+        poset = build_poset([v], close_coarsening=True)
+        repeated = rng.standard_normal(dim)
+        repeated[1] = repeated[0]
+        in_span = HermitianOperator(sum(x * atom.matrix for x, atom in zip(repeated, v.atoms)))
+        cases += [(in_span, poset), (random_hermitian(dim, rng), poset)]
+    for a, poset in cases:
+        arrow = operator_arrow(a, poset)
+        inner = {w.id: inner_operator(a, w) for w in poset}
+        outer = {w.id: outer_operator(a, w) for w in poset}
+        for v in poset:
+            for point in spectrum(v):
+                want = []
+                for w in poset.down_set(v):
+                    image = restrict(point, w)
+                    want.append((w.id, evaluate(image, inner[w.id]), evaluate(image, outer[w.id])))
+                assert arrow.pair(v, point.index).intervals() == tuple(sorted(want))
+
+
 def test_arrow_naturality_explicit(sz, spin_poset):
     arrow = operator_arrow(sz, spin_poset)
     for sub_id, sup_id in spin_poset.strict_pairs():
