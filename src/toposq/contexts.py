@@ -244,23 +244,25 @@ def includes(sub: Context, sup: Context, tol: float | None = None) -> bool:
 
 
 def _set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    # Classic recursive enumeration: element i joins an existing block or
-    # opens a new one. Deterministic generation order.
-    blocks: list[list[int]] = []
-
-    def rec(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    # Element i joins each existing block in turn, then opens a new one.
+    def rec(i: int, blocks: tuple[tuple[int, ...], ...]):
         if i == n:
-            yield tuple(tuple(b) for b in blocks)
+            yield blocks
             return
-        for block in blocks:
-            block.append(i)
-            yield from rec(i + 1)
-            block.pop()
-        blocks.append([i])
-        yield from rec(i + 1)
-        blocks.pop()
+        for k in range(len(blocks)):
+            yield from rec(i + 1, blocks[:k] + (blocks[k] + (i,),) + blocks[k + 1:])
+        yield from rec(i + 1, blocks + ((i,),))
 
-    yield from rec(0)
+    yield from rec(0, ())
+
+
+def _merged(v: Context, blocks: Sequence[tuple[int, ...]], tol: float, sums: dict) -> Context:
+    """The context whose atoms are the sums of v's atoms over blocks; sums
+    caches v's block sums, so a block shared by several calls is summed once."""
+    for block in blocks:
+        if block not in sums:
+            sums[block] = v.sum_of_atoms(block, tol)
+    return Context([sums[block] for block in blocks], tol)
 
 
 def coarsenings(v: Context, tol: float | None = None) -> tuple[Context, ...]:
@@ -270,15 +272,12 @@ def coarsenings(v: Context, tol: float | None = None) -> tuple[Context, ...]:
     block shared by several partitions is summed once per call.
     """
     tol = resolve_tolerance(tol)
-    result = [v]
-    block_sums: dict[tuple[int, ...], Projection] = {}
-    for partition in _set_partitions(v.n_atoms):
-        if not 2 <= len(partition) < v.n_atoms:
-            continue
-        for block in partition:
-            if block not in block_sums:
-                block_sums[block] = v.sum_of_atoms(block, tol)
-        result.append(Context([block_sums[block] for block in partition], tol))
+    sums: dict[tuple[int, ...], Projection] = {}
+    result = [v] + [
+        _merged(v, partition, tol, sums)
+        for partition in _set_partitions(v.n_atoms)
+        if 2 <= len(partition) < v.n_atoms
+    ]
     return tuple(sorted(result, key=lambda c: c.id))
 
 
@@ -310,8 +309,7 @@ def intersect(v: Context, w: Context, tol: float | None = None) -> Context:
         raise TrivialIntersectionError(
             "contexts share only the identity; the intersection is the trivial algebra"
         )
-    atoms = [v.sum_of_atoms(block, tol) for block in blocks]
-    return Context(atoms, tol)
+    return _merged(v, blocks, tol, {})
 
 
 def dominating_atom_index(
@@ -333,10 +331,11 @@ class ContextPoset:
     Contexts are deduplicated by id and kept in id order, and of two members
     that include each other at the tolerance only the first is kept. One
     ``restriction_table`` call per pair precomputes the order and its tables,
-    so the poset is immutable and cheap to query.
+    so the poset is immutable and cheap to query. A query naming a context
+    that is not a member raises KeyError.
     """
 
-    __slots__ = ("_contexts", "_by_id", "_restriction")
+    __slots__ = ("_contexts", "_by_id", "_down")
 
     def __init__(self, contexts: Iterable[Context], tol: float | None = None):
         tol = resolve_tolerance(tol)
@@ -354,25 +353,25 @@ class ContextPoset:
                 raise MixedDimensionsError(
                     f"contexts of dimension {dim} and {ctx.dim} in one poset"
                 )
-        # sub_id -> {sup_id: table} for every sup >= sub, sub itself included:
-        # the only record of the order, so leq is one membership test.
-        up = {
-            sub.id: {
-                sup.id: table
-                for sup in ordered
+        # sup_id -> {sub_id: table} for every sub <= sup in id order, sup
+        # itself included: the only record of the order and its tables.
+        down = {
+            sup.id: {
+                sub.id: table
+                for sub in ordered
                 if (table := restriction_table(sub, sup, tol)) is not None
             }
-            for sub in ordered
+            for sup in ordered
         }
         # Antisymmetry at the tolerance: of two members that include each
         # other, only the first in id order stays.
         kept: dict[str, Context] = {}
         for v in ordered:
-            if not any(u in up[v.id] and v.id in up[u] for u in kept):
+            if not any(u in down[v.id] and v.id in down[u] for u in kept):
                 kept[v.id] = v
         self._contexts = tuple(kept.values())
         self._by_id = kept
-        self._restriction = {v: {w: up[v][w] for w in up[v] if w in kept} for v in kept}
+        self._down = {v: {w: down[v][w] for w in down[v] if w in kept} for v in kept}
 
     @property
     def contexts(self) -> tuple[Context, ...]:
@@ -400,21 +399,29 @@ class ContextPoset:
     def get(self, cid: str) -> Context:
         return self._by_id[cid]
 
+    def _member_id(self, v: Context | str) -> str:
+        cid = v.id if isinstance(v, Context) else v
+        if cid not in self._by_id:
+            raise KeyError(f"{cid} is not a member of this poset")
+        return cid
+
     def leq(self, sub: Context | str, sup: Context | str) -> bool:
         """Whether sub is included in sup within this poset."""
-        sub_id = sub.id if isinstance(sub, Context) else sub
-        sup_id = sup.id if isinstance(sup, Context) else sup
-        return sup_id in self._restriction[sub_id]
+        return self._member_id(sub) in self._down[self._member_id(sup)]
 
     def down_set(self, v: Context | str) -> tuple[Context, ...]:
-        """All poset members included in v (v itself first by id order)."""
-        vid = v.id if isinstance(v, Context) else v
-        return tuple(c for c in self._contexts if self.leq(c, vid))
+        """All poset members included in v, v itself among them, in id order."""
+        return tuple(self._by_id[w] for w in self._down[self._member_id(v)])
+
+    def restrictions(self, v: Context | str) -> tuple[tuple[Context, tuple[int, ...]], ...]:
+        """Each member w included in v (v among them) in id order, with its
+        table: entry i is the point of w that point i of v restricts to."""
+        return tuple((self._by_id[w], table) for w, table in self._down[self._member_id(v)].items())
 
     def strict_pairs(self) -> tuple[tuple[str, str], ...]:
         """All (sub_id, sup_id) pairs with strict inclusion, in id order."""
         return tuple(
-            (sub, sup) for sub, up in self._restriction.items() for sup in up if sup != sub
+            sorted((sub, sup) for sup, down in self._down.items() for sub in down if sub != sup)
         )
 
     def restriction_index(
@@ -426,7 +433,7 @@ class ContextPoset:
         sup_id = sup.id if isinstance(sup, Context) else sup
         sub_id = sub.id if isinstance(sub, Context) else sub
         try:
-            table = self._restriction[sub_id][sup_id]
+            table = self._down[sup_id][sub_id]
         except KeyError:
             raise KeyError(f"{sub_id} is not included in {sup_id} within this poset")
         return table[checked_index(atom_index, len(table))]
@@ -443,21 +450,19 @@ def build_poset(
 ) -> ContextPoset:
     """Generate the poset spanned by seed contexts and the requested closures.
 
-    With close_coarsening, every coarsening of every member is added; with
-    close_intersection, nontrivial intersections are added; both run to a
-    fixed point over one worklist, in which each context is coarsened at most
-    once and intersected once with every seed taken before it (every seed,
-    once the seeds are all taken). That reaches the whole intersection
-    closure, {meet of T : T a set of seeds}, because the meet of T with s
-    added is (meet of T) meet s. With both, the intersection pass is skipped:
-    an intersection is a coarsening of either side and so already in the
-    pool. No upward closure is ever performed.
+    With close_coarsening, the coarsenings of every seed are added: they are
+    closed under coarsening and hold every intersection, a coarsening of
+    either side. With close_intersection alone, a worklist meets each context
+    once with every seed taken before it (every seed, once the seeds are all
+    taken). That reaches the whole intersection closure, {meet of T : T a set
+    of seeds}, because the meet of T with s added is (meet of T) meet s. No
+    upward closure is ever performed.
 
     The seeds' atoms are stacked once, so each taken context gets its overlap
     with all earlier seeds from one batched norm call; a seed's slice of it
     gives the blocks of that seed's atoms, as in ``intersect``. The meet of
     seed s with v is the sum of s's atoms over those blocks, so it depends
-    only on the key (s, blocks): a key already met in this build gives a
+    only on s and the blocks: a pair already met in this build gives a
     context already in the pool and is skipped, and each block sum of a seed
     is computed once.
     """
@@ -477,23 +482,23 @@ def build_poset(
     if not pool:
         raise ValueError("build_poset needs at least one seed context")
     taken = [pool[cid] for cid in sorted(pool)]  # the worklist, seeds first
-    n_seeds = len(taken)
-    meet_seeds = close_intersection and not close_coarsening
-    if meet_seeds:
+    if close_coarsening:
+        closed: set[str] = set()
+        for v in taken:
+            if v.id not in closed:
+                for ctx in coarsenings(v, tol):
+                    closed.add(ctx.id)
+                    pool.setdefault(ctx.id, ctx)
+    elif close_intersection:
+        n_seeds = len(taken)
         seed_atoms = np.stack([atom.matrix for u in taken for atom in u.atoms])
         # Seed s owns rows starts[s]:starts[s + 1] of seed_atoms.
         starts = np.cumsum([0] + [u.n_atoms for u in taken]).tolist()
+        sums: list[dict[tuple[int, ...], Projection]] = [{} for _ in range(n_seeds)]
         met: set[tuple[int, tuple[tuple[int, ...], ...]]] = set()
-        block_sums: dict[tuple[int, tuple[int, ...]], Projection] = {}
-    coarsened: set[str] = set()
-    for k, v in enumerate(taken):  # taken grows while it is walked
-        found: list[Context] = []
-        if close_coarsening and v.id not in coarsened:
-            # A coarsening of a coarsening of v is a coarsening of v, so
-            # everything returned here is already closed.
-            found += coarsenings(v, tol)
-            coarsened.update(ctx.id for ctx in found)
-        if meet_seeds and k:
+        for k, v in enumerate(taken):  # taken grows while it is walked
+            if k == 0:
+                continue
             m = min(k, n_seeds)
             vs = np.stack([atom.matrix for atom in v.atoms])
             overlap = operator_norm(seed_atoms[:starts[m], None] @ vs[None, :]) > tol
@@ -502,12 +507,8 @@ def build_poset(
                 if len(blocks) < 2 or (s, blocks) in met:
                     continue
                 met.add((s, blocks))
-                for block in blocks:
-                    if (s, block) not in block_sums:
-                        block_sums[s, block] = u.sum_of_atoms(block, tol)
-                found.append(Context([block_sums[s, block] for block in blocks], tol))
-        for ctx in found:
-            if ctx.id not in pool:
-                pool[ctx.id] = ctx
-                taken.append(ctx)
+                meet = _merged(u, blocks, tol, sums[s])
+                if meet.id not in pool:
+                    pool[meet.id] = meet
+                    taken.append(meet)
     return ContextPoset(pool.values(), tol)

@@ -324,7 +324,9 @@ class SpectralFamily:
         return len(self._thresholds)
 
     def value_at(self, r: float) -> Projection:
-        """The projection E_r, i.e. the step in force at parameter r."""
+        """The projection E_r, i.e. the step in force at parameter r; ValueError for NaN."""
+        if math.isnan(r):
+            raise ValueError("spectral family parameter is NaN")
         if r < self._thresholds[0]:
             return Projection.zero(self.dim)
         index = 0

@@ -24,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from .config import ORDER_PAIR_SLACK, resolve_tolerance
-from .contexts import Context, ContextPoset
+from .contexts import Context, ContextPoset, checked_index
 from .errors import (
     DimensionMismatchError,
     InternalInvariantViolation,
@@ -320,8 +320,10 @@ class OperatorArrow:
         return self._poset
 
     def pair(self, v: Context | str, index: int) -> OrderPair:
-        cid = v.id if isinstance(v, Context) else v
-        return self._components[cid][index]
+        """The pair of point index of v; ValueError unless index is a
+        non-bool integer in [0, n_atoms)."""
+        pairs = self.pairs(v)
+        return pairs[checked_index(index, len(pairs))]
 
     def pairs(self, v: Context | str) -> tuple[OrderPair, ...]:
         cid = v.id if isinstance(v, Context) else v
@@ -369,13 +371,14 @@ def operator_arrow(
 
 def _check_naturality(arrow: OperatorArrow) -> None:
     poset = arrow.poset
-    for sub_id, sup_id in poset.strict_pairs():
-        for i in range(poset.get(sup_id).n_atoms):
-            j = poset.restriction_index(sup_id, sub_id, i)
-            big = arrow.pair(sup_id, i)
-            small = arrow.pair(sub_id, j)
-            for cid in small.domain:
-                if big.interval(cid) != small.interval(cid):
-                    raise InternalInvariantViolation(
-                        f"arrow is not natural along {sub_id} <= {sup_id}"
-                    )
+    for v in poset:
+        for w, table in poset.restrictions(v):
+            if w is v:
+                continue
+            for big, j in zip(arrow.pairs(v), table):
+                small = arrow.pairs(w)[j]
+                for cid in small.domain:
+                    if big.interval(cid) != small.interval(cid):
+                        raise InternalInvariantViolation(
+                            f"arrow is not natural along {w.id} <= {v.id}"
+                        )

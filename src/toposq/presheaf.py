@@ -130,14 +130,14 @@ class ClopenSubobject:
         extra = set(components) - set(normalized)
         if extra:
             raise PosetMismatchError(f"components for unknown contexts: {sorted(extra)}")
-        for sub_id, sup_id in poset.strict_pairs():
-            for i in normalized[sup_id]:
-                j = poset.restriction_index(sup_id, sub_id, i)
-                if j not in normalized[sub_id]:
-                    raise NotRestrictionClosedError(
-                        f"point {i} of {sup_id} restricts outside the component "
-                        f"at {sub_id}"
-                    )
+        for v in poset:
+            for w, table in poset.restrictions(v):
+                for i in normalized[v.id]:
+                    if table[i] not in normalized[w.id]:
+                        raise NotRestrictionClosedError(
+                            f"point {i} of {v.id} restricts outside the component "
+                            f"at {w.id}"
+                        )
         self._poset = poset
         self._components = normalized
 
@@ -212,18 +212,16 @@ class ClopenSubobject:
         poset = self._poset
         comps: dict[str, set[int]] = {}
         for v in poset:
-            below = poset.down_set(v)
-            keep: set[int] = set()
-            for i in range(v.n_atoms):
-                ok = True
-                for w in below:
-                    j = poset.restriction_index(v.id, w.id, i)
-                    if j in self._components[w.id] and j not in other._components[w.id]:
-                        ok = False
-                        break
-                if ok:
-                    keep.add(i)
-            comps[v.id] = keep
+            below = poset.restrictions(v)
+            comps[v.id] = {
+                i
+                for i in range(v.n_atoms)
+                if not any(
+                    table[i] in self._components[w.id]
+                    and table[i] not in other._components[w.id]
+                    for w, table in below
+                )
+            }
         return ClopenSubobject(poset, comps)
 
     def negation(self) -> "ClopenSubobject":
@@ -274,8 +272,7 @@ def global_sections(poset: ContextPoset) -> list[dict[str, GelfandPoint]]:
     covered = {sub for sub, _ in poset.strict_pairs()}
     # Per maximal context and point: the point it fixes at each context below.
     images = [
-        [{w.id: poset.restriction_index(v, w, i) for w in poset.down_set(v)}
-         for i in range(v.n_atoms)]
+        [{w.id: table[i] for w, table in poset.restrictions(v)} for i in range(v.n_atoms)]
         for v in poset
         if v.id not in covered
     ]

@@ -57,7 +57,10 @@ class UnitVector:
 
     @classmethod
     def basis(cls, dim: int, k: int) -> "UnitVector":
-        """The k-th standard basis vector; ValueError unless k is an integer in [0, dim)."""
+        """The k-th standard basis vector; ValueError unless dim is a non-bool
+        integer >= 1 and k an integer in [0, dim)."""
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
         vec = np.zeros(dim, dtype=np.complex128)
         vec[checked_index(k, dim)] = 1.0
         return cls(vec)

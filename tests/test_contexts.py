@@ -540,6 +540,8 @@ def test_down_set_and_restriction_index(spin_poset, eigen_context, basis_projs):
     down = spin_poset.down_set(eigen_context)
     assert eigen_context in down
     assert len(down) == 4
+    # In id order: v comes first only when it has the smallest id; here it does not.
+    assert [c.id for c in down] == sorted(c.id for c in down) and down[0] != eigen_context
     # Atom i of the maximal context maps to the v_p1 atom dominating it.
     for i in range(3):
         j = spin_poset.restriction_index(eigen_context.id, v_p1.id, i)
@@ -548,6 +550,23 @@ def test_down_set_and_restriction_index(spin_poset, eigen_context, basis_projs):
     for sub, bad in ((v_p1, -1), (v_p1, 3), (eigen_context, 5), (v_p1, 1.0), (v_p1, True)):
         with pytest.raises(ValueError):
             spin_poset.restriction_index(eigen_context, sub, bad)
+
+
+def test_poset_queries_reject_non_members(spin_poset, eigen_context):
+    # A non-member on either side of leq, or given to down_set or
+    # restrictions, is a KeyError naming it, as in get.
+    outsider = random_maximal_context(3, rng_for(313))
+    for bad in ("x", outsider):
+        name = bad if isinstance(bad, str) else bad.id
+        calls = (
+            lambda: spin_poset.leq(eigen_context, bad),
+            lambda: spin_poset.leq(bad, eigen_context),
+            lambda: spin_poset.down_set(bad),
+            lambda: spin_poset.restrictions(bad),
+        )
+        for call in calls:
+            with pytest.raises(KeyError, match=name):
+                call()
 
 
 def test_poset_dedupes_equal_contexts(eigen_context, basis_projs):

@@ -303,6 +303,16 @@ def test_value_at_below_first_threshold_is_zero():
     assert sf.value_at(2.5).rank == 2
 
 
+def test_value_at_rejects_nan():
+    # NaN compares false with every threshold; it has no step in force.
+    sf = spectral_family(HermitianOperator(np.diag([1.0, 2.0])))
+    for r in (float("nan"), np.float64("nan")):
+        with pytest.raises(ValueError, match="NaN"):
+            sf.value_at(r)
+    assert sf.value_at(-np.inf).rank == 0
+    assert sf.value_at(np.inf).rank == 2
+
+
 def test_spectral_family_monotone(sz):
     sf = spectral_family(sz)
     samples = sorted(list(sf.thresholds) + [-1.0, -0.3, 0.3, 1.0])

@@ -470,6 +470,16 @@ def test_arrow_pair_domain_is_down_set(sz, spin_poset, eigen_context):
     assert set(pair2.domain) == {two_atom.id}
 
 
+def test_arrow_pair_checks_the_point_index(sz, spin_poset, eigen_context):
+    # Like every other atom index: a negative index does not wrap round, a
+    # bool is not point 1, and a float is not a bare TypeError.
+    arrow = operator_arrow(sz, spin_poset)
+    assert arrow.pair(eigen_context, np.int64(2)) == arrow.pairs(eigen_context)[2]
+    for bad in (-1, 3, True, 1.0):
+        with pytest.raises(ValueError, match="not an integer in"):
+            arrow.pair(eigen_context, bad)
+
+
 def test_arrow_monotonicity_and_spec_membership():
     rng = rng_for(72)
     for _ in range(8):

@@ -227,6 +227,23 @@ def test_restriction_tables_match_dominating_atom_oracle(table_posets):
                 assert restrict(GelfandPoint(sup, i), sub).index == want
 
 
+def test_restrictions_match_down_set_and_restriction_index(table_posets):
+    # restrictions(v) is down_set(v) with each member's table, and the
+    # strict pairs stay in (sub, sup) id order.
+    for poset in table_posets:
+        for v in poset:
+            want = [
+                (w, tuple(poset.restriction_index(v, w, i) for i in range(v.n_atoms)))
+                for w in poset.down_set(v)
+            ]
+            assert list(poset.restrictions(v)) == want
+        pairs = poset.strict_pairs()
+        assert list(pairs) == sorted(pairs)
+        assert set(pairs) == {
+            (w.id, v.id) for v in poset for w in poset.down_set(v) if w != v
+        }
+
+
 def test_restriction_tables_are_functorial(table_posets):
     # Restricting along w -> v -> u lands where w -> u does, for every chain
     # u <= v <= w (identities included).

@@ -40,6 +40,13 @@ def test_unit_vector_basis_rejects_bad_index(k):
         UnitVector.basis(3, k)
 
 
+@pytest.mark.parametrize("dim", [True, 2.5, 0, -1])
+def test_unit_vector_basis_rejects_bad_dimension(dim):
+    # Named as the dimension, not as numpy's shape error or the index's.
+    with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+        UnitVector.basis(dim, 0)
+
+
 def test_unit_vector_rejects_nan():
     with pytest.raises(NotNormalizedError):
         UnitVector([np.nan, 0.0, 0.0])
