@@ -117,11 +117,24 @@ class Context:
             raise NotAPartitionError(
                 f"atoms do not sum to the identity (defect {defect:.3e})"
             )
+        self._store(atoms)
+
+    @classmethod
+    def _trusted(cls, atoms: Sequence[Projection]) -> "Context":
+        """A context from >= 2 atoms that toposq derived from a validated
+        context and that partition the identity by construction; stored and
+        identified as by the constructor, without its checks."""
+        ctx = object.__new__(cls)
+        ctx._store(tuple(atoms))
+        return ctx
+
+    def _store(self, atoms: tuple[Projection, ...]) -> None:
+        # Canonical atom order and the id: the same for every construction path.
         keys = [_atom_sort_key(atom) for atom in atoms]
         order = sorted(range(len(atoms)), key=keys.__getitem__)
         self._atoms = tuple(atoms[i] for i in order)
         digest = hashlib.sha256()
-        digest.update(str(dim).encode())
+        digest.update(str(atoms[0].dim).encode())
         for i in order:
             digest.update(keys[i])
         self._id = digest.hexdigest()[:16]
@@ -258,11 +271,15 @@ def _set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 
 def _merged(v: Context, blocks: Sequence[tuple[int, ...]], tol: float, sums: dict) -> Context:
     """The context whose atoms are the sums of v's atoms over blocks; sums
-    caches v's block sums, so a block shared by several calls is summed once."""
+    caches v's block sums, so a block shared by several calls is summed once.
+
+    The >= 2 blocks partition the atoms of v, a validated context, so the
+    sums are nonzero, pairwise orthogonal and sum to the identity: the
+    context is built without the constructor's checks."""
     for block in blocks:
         if block not in sums:
             sums[block] = v.sum_of_atoms(block, tol)
-    return Context([sums[block] for block in blocks], tol)
+    return Context._trusted([sums[block] for block in blocks])
 
 
 def coarsenings(v: Context, tol: float | None = None) -> tuple[Context, ...]:
@@ -397,7 +414,7 @@ class ContextPoset:
         return cid in self._by_id
 
     def get(self, cid: str) -> Context:
-        return self._by_id[cid]
+        return self._by_id[self._member_id(cid)]
 
     def _member_id(self, v: Context | str) -> str:
         cid = v.id if isinstance(v, Context) else v
@@ -430,11 +447,9 @@ class ContextPoset:
         """Map a point index of sup to the index of its image point in sub.
 
         Raises ValueError unless atom_index is a non-bool integer in range."""
-        sup_id = sup.id if isinstance(sup, Context) else sup
-        sub_id = sub.id if isinstance(sub, Context) else sub
-        try:
-            table = self._down[sup_id][sub_id]
-        except KeyError:
+        sup_id, sub_id = self._member_id(sup), self._member_id(sub)
+        table = self._down[sup_id].get(sub_id)
+        if table is None:
             raise KeyError(f"{sub_id} is not included in {sup_id} within this poset")
         return table[checked_index(atom_index, len(table))]
 

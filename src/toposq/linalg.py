@@ -56,7 +56,10 @@ def operator_norm(matrix: np.ndarray) -> float | np.ndarray:
 
 
 def _as_square_complex(entries) -> np.ndarray:
-    matrix = np.array(entries, dtype=np.complex128)
+    try:
+        matrix = np.array(entries, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise NotHermitianError(f"matrix entries are not a rectangular array of numbers: {exc}") from exc
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise NotHermitianError(f"expected a square matrix, got shape {matrix.shape}")
     if matrix.shape[0] == 0:
@@ -85,6 +88,16 @@ class HermitianOperator:
             )
         matrix.setflags(write=False)
         self._matrix = matrix
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray):
+        """An instance holding matrix, a fresh complex128 array that toposq
+        derived from validated values and that is valid by construction; the
+        constructor's checks are skipped and the array is frozen in place."""
+        instance = object.__new__(cls)
+        matrix.setflags(write=False)
+        instance._matrix = matrix
+        return instance
 
     @property
     def matrix(self) -> np.ndarray:
@@ -151,6 +164,12 @@ class Projection(HermitianOperator):
         return Projection(np.eye(self.dim, dtype=np.complex128) - self.matrix)
 
 
+def _span_projection(basis: np.ndarray) -> Projection:
+    """The projection B B* onto the span of the orthonormal columns of an eigh
+    basis B: self-adjoint and idempotent to rounding error, so not re-checked."""
+    return Projection._trusted(basis @ basis.conj().T)
+
+
 def canonical_projection(matrix: np.ndarray, tol: float | None = None) -> Projection:
     """Snap a numerically drifted near-projection back onto an exact one.
 
@@ -167,8 +186,7 @@ def canonical_projection(matrix: np.ndarray, tol: float | None = None) -> Projec
     snapped = np.where(values > 0.5, 1.0, 0.0)
     if float(np.max(np.abs(values - snapped))) > max(tol, SNAP_FLOOR):
         raise NotAProjectionError("eigenvalues are not close to {0, 1}")
-    basis = vectors[:, snapped > 0.5]
-    return Projection(basis @ basis.conj().T)
+    return _span_projection(vectors[:, snapped > 0.5])
 
 
 @dataclass(frozen=True)
@@ -217,8 +235,7 @@ def eigenstructure(a: HermitianOperator, tol: float | None = None) -> EigenStruc
     projections = []
     for cluster in clusters(values, tol):
         eigenvalues.append(float(np.mean(values[cluster])))
-        basis = vectors[:, cluster]
-        projections.append(Projection(basis @ basis.conj().T))
+        projections.append(_span_projection(vectors[:, cluster]))
     return EigenStructure(tuple(eigenvalues), tuple(projections))
 
 
@@ -243,8 +260,7 @@ def proj_meet(p: Projection, q: Projection, tol: float | None = None) -> Project
     tol = resolve_tolerance(tol)
     require_same_dim(p, q)
     values, vectors = np.linalg.eigh(p.matrix + q.matrix)
-    basis = vectors[:, values >= 2.0 - tol]
-    return Projection(basis @ basis.conj().T)
+    return _span_projection(vectors[:, values >= 2.0 - tol])
 
 
 def proj_join(p: Projection, q: Projection, tol: float | None = None) -> Projection:
@@ -255,8 +271,7 @@ def proj_join(p: Projection, q: Projection, tol: float | None = None) -> Project
     tol = resolve_tolerance(tol)
     require_same_dim(p, q)
     values, vectors = np.linalg.eigh(p.matrix + q.matrix)
-    basis = vectors[:, values > tol]
-    return Projection(basis @ basis.conj().T)
+    return _span_projection(vectors[:, values > tol])
 
 
 class SpectralFamily:

@@ -177,7 +177,8 @@ def _daseinised(
     # extreme, atom i's coefficient is eigenvalue extreme(hits of i). sum_i c_i Q_i
     # is summed as the staircase sum_k t_k (S_k - S_k-1), S_k the atoms at or
     # below t_k, which gives the floats of the spectral-step route, so value
-    # subobjects dedupe alike. The staircases share their steps S_k.
+    # subobjects dedupe alike. The staircases share their steps S_k. A sum of
+    # real multiples of the atoms is self-adjoint, so it is not re-checked.
     atoms = np.stack([atom.matrix for atom in v.atoms])
     eigenprojections = np.stack([proj.matrix for proj in structure.projections])
     hit = operator_norm(atoms[:, None] @ eigenprojections[None]) > tol
@@ -193,7 +194,7 @@ def _daseinised(
                 steps[below] = v.sum_of_atoms(below, tol).matrix
             acc += structure.eigenvalues[k] * (steps[below] - prev)
             prev = steps[below]
-        result.append(HermitianOperator(acc))
+        result.append(HermitianOperator._trusted(acc))
     return tuple(result)
 
 

@@ -44,7 +44,10 @@ class UnitVector:
 
     def __init__(self, amplitudes, tol: float | None = None):
         tol = resolve_tolerance(tol)
-        vec = np.array(amplitudes, dtype=np.complex128)
+        try:
+            vec = np.array(amplitudes, dtype=np.complex128)
+        except (TypeError, ValueError) as exc:
+            raise NotNormalizedError(f"amplitudes are not a flat array of numbers: {exc}") from exc
         if vec.ndim != 1 or vec.size == 0:
             raise NotNormalizedError(f"expected a nonempty vector, got shape {vec.shape}")
         if not np.isfinite(vec).all():

@@ -16,6 +16,7 @@ from toposq import (
     build_poset,
     context_from_atoms,
 )
+from toposq.sampling import random_maximal_context, random_poset
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -43,6 +44,20 @@ def eigen_context(basis_projs) -> Context:
 def spin_poset(eigen_context) -> ContextPoset:
     """Coarsening closure of the maximal diagonal context: 4 contexts."""
     return build_poset([eigen_context], close_coarsening=True)
+
+
+@pytest.fixture(scope="session")
+def table_posets(spin_poset) -> list[ContextPoset]:
+    """The spin poset, coarsening closures at dims 3-5, full Peres and 9
+    random_poset draws."""
+    posets = [spin_poset]
+    for dim in (3, 4, 5):
+        v = random_maximal_context(dim, rng_for(47, dim))
+        posets.append(build_poset([v], close_coarsening=True))
+    posets.append(build_poset(peres_bases(), close_intersection=True))
+    rng = rng_for(48)
+    posets += [random_poset(3 + trial % 2, rng) for trial in range(9)]
+    return posets
 
 
 def rng_for(*key: int) -> np.random.Generator:

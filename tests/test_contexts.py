@@ -553,20 +553,32 @@ def test_down_set_and_restriction_index(spin_poset, eigen_context, basis_projs):
 
 
 def test_poset_queries_reject_non_members(spin_poset, eigen_context):
-    # A non-member on either side of leq, or given to down_set or
-    # restrictions, is a KeyError naming it, as in get.
+    # A non-member given to get, down_set or restrictions, or on either side
+    # of leq or restriction_index, is a KeyError naming it as a non-member.
     outsider = random_maximal_context(3, rng_for(313))
     for bad in ("x", outsider):
         name = bad if isinstance(bad, str) else bad.id
         calls = (
+            lambda: spin_poset.get(bad),
             lambda: spin_poset.leq(eigen_context, bad),
             lambda: spin_poset.leq(bad, eigen_context),
             lambda: spin_poset.down_set(bad),
             lambda: spin_poset.restrictions(bad),
+            lambda: spin_poset.restriction_index(bad, eigen_context, 0),
+            lambda: spin_poset.restriction_index(eigen_context, bad, 0),
         )
         for call in calls:
-            with pytest.raises(KeyError, match=name):
+            with pytest.raises(KeyError, match=f"{name} is not a member"):
                 call()
+
+
+def test_restriction_index_names_unordered_members(spin_poset, eigen_context):
+    # Two members that are not ordered keep the "not included" message.
+    coarse = [v for v in spin_poset if v != eigen_context]
+    sub, sup = coarse[0], coarse[1]
+    assert not spin_poset.leq(sub, sup)
+    with pytest.raises(KeyError, match=f"{sub.id} is not included in {sup.id}"):
+        spin_poset.restriction_index(sup, sub, 0)
 
 
 def test_poset_dedupes_equal_contexts(eigen_context, basis_projs):

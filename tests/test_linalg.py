@@ -104,6 +104,20 @@ def test_hermitian_and_projection_reject_nan_entries():
             cls(entries)
 
 
+@pytest.mark.parametrize(
+    "entries, cause",
+    [
+        ([["a"]], "malformed string"),
+        ([[1, 2], [3]], "inhomogeneous"),
+        ([[object()]], "must be real number"),
+    ],
+)
+def test_hermitian_rejects_non_numeric_entries(entries, cause):
+    # A ToposqError naming numpy's cause, not numpy's own ValueError/TypeError.
+    with pytest.raises(NotHermitianError, match=f"not a rectangular array of numbers.*{cause}"):
+        HermitianOperator(entries)
+
+
 def test_projection_rejects_non_idempotent():
     with pytest.raises(NotAProjectionError):
         Projection(np.diag([0.5, 0.5]))

@@ -200,20 +200,6 @@ def test_restrict_functorial_and_surjective():
             assert hit == set(range(sub.n_atoms))
 
 
-@pytest.fixture(scope="module")
-def table_posets(spin_poset):
-    """The spin poset, coarsening closures at dims 3-5, full Peres and 9
-    random_poset draws."""
-    posets = [spin_poset]
-    for dim in (3, 4, 5):
-        v = random_maximal_context(dim, rng_for(47, dim))
-        posets.append(build_poset([v], close_coarsening=True))
-    posets.append(build_poset(peres_bases(), close_intersection=True))
-    rng = rng_for(48)
-    posets += [random_poset(3 + trial % 2, rng) for trial in range(9)]
-    return posets
-
-
 def test_restriction_tables_match_dominating_atom_oracle(table_posets):
     # The poset's tables, includes and restrict share one restriction_table
     # pass; dominating_atom_index searches the sub atoms independently.
@@ -476,13 +462,14 @@ def test_global_sections_peres_set_has_none(monkeypatch):
     bases = peres_bases()
     assert len(bases) == 24
     built = []
-    init = Context.__init__
+    trusted = Context._trusted.__func__
 
-    def counted(self, atoms, tol=None):
+    def counted(cls, atoms):
         built.append(len(atoms))
-        init(self, atoms, tol)
+        return trusted(cls, atoms)
 
-    monkeypatch.setattr(Context, "__init__", counted)
+    # A meet is built on the unchecked path for derived contexts.
+    monkeypatch.setattr(Context, "_trusted", classmethod(counted))
     poset = build_poset(bases, close_intersection=True)
     assert len(poset) == 93
     assert len(poset.strict_pairs()) == 312

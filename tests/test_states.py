@@ -52,6 +52,11 @@ def test_unit_vector_rejects_nan():
         UnitVector([np.nan, 0.0, 0.0])
 
 
+def test_unit_vector_rejects_non_numeric_amplitude():
+    with pytest.raises(NotNormalizedError, match="not a flat array of numbers.*malformed string"):
+        UnitVector([1, "a"])
+
+
 def test_unit_vector_accepts_phases():
     psi = UnitVector(np.array([1j, 0.0]) )
     assert psi.projector().isclose(Projection(np.diag([1.0, 0.0])))
