@@ -13,6 +13,7 @@ spectral norm, and the projection order is P <= Q iff QP = P within tolerance.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -55,11 +56,21 @@ def operator_norm(matrix: np.ndarray) -> float | np.ndarray:
     return float(np.linalg.norm(matrix, 2))
 
 
-def _as_square_complex(entries) -> np.ndarray:
+def complex_array(entries, error: type[Exception], problem: str) -> np.ndarray:
+    """entries as a new complex128 array, else error; numeric text is not a number."""
     try:
-        matrix = np.array(entries, dtype=np.complex128)
+        raw = np.asarray(entries)
+        array = raw.astype(np.complex128)
     except (TypeError, ValueError) as exc:
-        raise NotHermitianError(f"matrix entries are not a rectangular array of numbers: {exc}") from exc
+        raise error(f"{problem}: {exc}") from exc
+    if raw.dtype.kind in "US":
+        raise error(f"{problem}: they are text of dtype {raw.dtype}")
+    return array
+
+
+def _as_square_complex(entries) -> np.ndarray:
+    problem = "matrix entries are not a rectangular array of numbers"
+    matrix = complex_array(entries, NotHermitianError, problem)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise NotHermitianError(f"expected a square matrix, got shape {matrix.shape}")
     if matrix.shape[0] == 0:
@@ -161,7 +172,7 @@ class Projection(HermitianOperator):
 
     def complement(self) -> "Projection":
         """The orthogonal complement 1 - P."""
-        return Projection(np.eye(self.dim, dtype=np.complex128) - self.matrix)
+        return Projection._trusted(np.eye(self.dim, dtype=np.complex128) - self.matrix)
 
 
 def _span_projection(basis: np.ndarray) -> Projection:
@@ -311,7 +322,7 @@ class SpectralFamily:
                 raise InvalidFamilyError("steps must be Projection instances")
             if step.dim != dim:
                 raise DimensionMismatchError("steps have mixed dimensions")
-        prev = Projection.zero(dim)
+        prev = Projection._trusted(np.zeros((dim, dim), dtype=np.complex128))
         for i, step in enumerate(steps):
             if not proj_leq(prev, step, tol):
                 raise InvalidFamilyError(f"step {i} is not above its predecessor")
@@ -344,13 +355,7 @@ class SpectralFamily:
             raise ValueError("spectral family parameter is NaN")
         if r < self._thresholds[0]:
             return Projection.zero(self.dim)
-        index = 0
-        for i, t in enumerate(self._thresholds):
-            if t <= r:
-                index = i
-            else:
-                break
-        return self._steps[index]
+        return self._steps[bisect_right(self._thresholds, r) - 1]
 
     def __repr__(self) -> str:
         return f"SpectralFamily(dim={self.dim}, thresholds={list(self._thresholds)})"

@@ -150,7 +150,7 @@ def antonymous(a: HermitianOperator, f: PrincipalFilter, tol: float | None = Non
     identity = np.eye(a.dim, dtype=np.complex128)
     gen = f.generator
     for t, step in zip(family.thresholds, family.steps):
-        co_step = Projection(identity - step.matrix)
+        co_step = Projection._trusted(identity - step.matrix)
         if not proj_leq(gen, co_step, tol):
             return t
     raise InternalInvariantViolation("antonymous scan fell through a spectral family")

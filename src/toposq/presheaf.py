@@ -171,27 +171,19 @@ class ClopenSubobject:
         if self._poset.signature != other._poset.signature:
             raise PosetMismatchError("subobjects live over different context posets")
 
-    def meet(self, other: "ClopenSubobject") -> "ClopenSubobject":
-        """Componentwise intersection."""
+    def _componentwise(self, other: "ClopenSubobject", op) -> "ClopenSubobject":
         self._require_same_poset(other)
         return ClopenSubobject(
-            self._poset,
-            {
-                cid: self._components[cid] & other._components[cid]
-                for cid in self._components
-            },
+            self._poset, {cid: op(s, other._components[cid]) for cid, s in self._components.items()}
         )
+
+    def meet(self, other: "ClopenSubobject") -> "ClopenSubobject":
+        """Componentwise intersection."""
+        return self._componentwise(other, frozenset.intersection)
 
     def join(self, other: "ClopenSubobject") -> "ClopenSubobject":
         """Componentwise union."""
-        self._require_same_poset(other)
-        return ClopenSubobject(
-            self._poset,
-            {
-                cid: self._components[cid] | other._components[cid]
-                for cid in self._components
-            },
-        )
+        return self._componentwise(other, frozenset.union)
 
     def leq(self, other: "ClopenSubobject") -> bool:
         """Componentwise containment."""
@@ -261,13 +253,14 @@ class ClopenSubobject:
 
 
 def global_sections(poset: ContextPoset) -> list[dict[str, GelfandPoint]]:
-    """All choices of one point per context compatible with every restriction.
+    """All choices of one point per context compatible with every restriction,
+    in no specified order.
 
-    Every context lies below a maximal one, so a section is fixed by its points
-    at the maximal contexts. Depth-first search picks a point at each maximal
-    context in turn and propagates it through the restriction tables to its
-    whole down-set; a pick survives when it agrees with every point that the
-    earlier picks already fixed.
+    A section is fixed by its points at the maximal contexts, each of which
+    fixes a point at every context below it. Fail-first search with forward
+    checking: per unpicked maximal context, keep the points whose images agree
+    with those fixed so far; branch on the context with the fewest and drop a
+    branch once any context has none.
     """
     covered = {sub for sub, _ in poset.strict_pairs()}
     # Per maximal context and point: the point it fixes at each context below.
@@ -276,20 +269,20 @@ def global_sections(poset: ContextPoset) -> list[dict[str, GelfandPoint]]:
         for v in poset
         if v.id not in covered
     ]
-    fixed: dict[str, int] = {}
     sections: list[dict[str, GelfandPoint]] = []
 
-    def dfs(k: int) -> None:
-        if k == len(images):
+    def search(fixed: dict[str, int], unpicked: list[list[dict[str, int]]]) -> None:
+        if not unpicked:
             sections.append({c.id: GelfandPoint(c, fixed[c.id]) for c in poset})
             return
-        for image in images[k]:
-            if all(fixed.get(cid, j) == j for cid, j in image.items()):
-                added = image.keys() - fixed.keys()
-                fixed.update(image)
-                dfs(k + 1)
-                for cid in added:
-                    del fixed[cid]
+        k = min(range(len(unpicked)), key=lambda m: len(unpicked[m]))
+        for image in unpicked[k]:
+            survivors = [
+                [o for o in rest if all(image.get(cid, j) == j for cid, j in o.items())]
+                for rest in unpicked[:k] + unpicked[k + 1:]
+            ]
+            if all(survivors):
+                search({**fixed, **image}, survivors)
 
-    dfs(0)
+    search({}, images)
     return sections

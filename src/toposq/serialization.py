@@ -84,8 +84,8 @@ def _dim_and(doc: dict, key: str, kind: str) -> tuple[int, Any]:
     return dim, doc[key]
 
 
-def matrix_from_doc(doc: Any, tol: float | None = None) -> HermitianOperator:
-    """Read a matrix document into a self-adjoint operator."""
+def _matrix_entries(doc: Any) -> np.ndarray:
+    """The entries of a matrix document as a complex array."""
     if not isinstance(doc, dict):
         raise ParseError(f"matrix document must be an object, got {type(doc).__name__}")
     if "amplitudes" in doc and "entries" not in doc:
@@ -99,12 +99,16 @@ def matrix_from_doc(doc: Any, tol: float | None = None) -> HermitianOperator:
             raise ParseError(f"row {i} must be a list of {dim} [re, im] pairs")
         for j, pair in enumerate(row):
             matrix[i, j] = _pair_to_complex(pair, f"entry ({i}, {j})")
-    return HermitianOperator(matrix, tol)
+    return matrix
+
+
+def matrix_from_doc(doc: Any, tol: float | None = None) -> HermitianOperator:
+    """Read a matrix document into a self-adjoint operator."""
+    return HermitianOperator(_matrix_entries(doc), tol)
 
 
 def projection_from_doc(doc: Any, tol: float | None = None) -> Projection:
-    op = matrix_from_doc(doc, tol)
-    return Projection(op.matrix, tol)
+    return Projection(_matrix_entries(doc), tol)
 
 
 def matrix_to_doc(a: HermitianOperator) -> dict:

@@ -20,7 +20,7 @@ from .config import resolve_tolerance
 from .contexts import ContextPoset, checked_index
 from .daseinisation import daseinise_projection
 from .errors import NotNormalizedError, PosetMismatchError
-from .linalg import HermitianOperator, Projection, require_same_dim
+from .linalg import HermitianOperator, Projection, complex_array, require_same_dim
 from .operators import OperatorArrow, OrderPair, operator_arrow
 from .presheaf import ClopenSubobject
 
@@ -44,10 +44,8 @@ class UnitVector:
 
     def __init__(self, amplitudes, tol: float | None = None):
         tol = resolve_tolerance(tol)
-        try:
-            vec = np.array(amplitudes, dtype=np.complex128)
-        except (TypeError, ValueError) as exc:
-            raise NotNormalizedError(f"amplitudes are not a flat array of numbers: {exc}") from exc
+        problem = "amplitudes are not a flat array of numbers"
+        vec = complex_array(amplitudes, NotNormalizedError, problem)
         if vec.ndim != 1 or vec.size == 0:
             raise NotNormalizedError(f"expected a nonempty vector, got shape {vec.shape}")
         if not np.isfinite(vec).all():

@@ -118,6 +118,20 @@ def test_hermitian_rejects_non_numeric_entries(entries, cause):
         HermitianOperator(entries)
 
 
+@pytest.mark.parametrize(
+    "cls, entries",
+    [
+        (HermitianOperator, [["1"]]),
+        (Projection, [["1", "0"], ["0", "0"]]),
+        (HermitianOperator, [[b"1"]]),
+    ],
+)
+def test_numeric_text_is_not_a_number(cls, entries):
+    # numpy would parse these into the 1x1 operator 1 and the projection diag(1, 0).
+    with pytest.raises(NotHermitianError, match="not a rectangular array of numbers.*text"):
+        cls(entries)
+
+
 def test_projection_rejects_non_idempotent():
     with pytest.raises(NotAProjectionError):
         Projection(np.diag([0.5, 0.5]))

@@ -1,14 +1,17 @@
 """Gel'fand spectra, restriction maps, clopen subobjects, Heyting structure.
 
-Global sections are compared against a plain itertools.product oracle and
-checked on known answers (the Kochen-Specker Peres set has none), and the
-Heyting adjunction is enumerated exhaustively on small posets so the implies
-formula is pinned by an independent definition of "compatible choice".
+Global sections are compared against a plain itertools.product oracle and,
+on posets too large for it, a fixed-order walk over the maximal contexts.
+They are checked on known answers: Peres' Kochen-Specker sets in C^3 and C^4
+have none, and the C^3 set's triads alone have one section per colouring that
+an independent count finds. The Heyting adjunction is enumerated exhaustively
+on small posets so the implies formula is pinned by an independent definition
+of "compatible choice".
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -61,6 +64,72 @@ def global_sections_oracle(poset):
                 {c.id: choice[k] for k, c in enumerate(ctxs)}
             )
     return out
+
+
+def global_sections_walk(poset):
+    """The fixed-order walk: pick a point at each maximal context in id order,
+    propagate it through the restriction tables to the whole down-set, keep
+    it when it agrees with every point already fixed, undo it on return."""
+    covered = {sub for sub, _ in poset.strict_pairs()}
+    images = [
+        [{w.id: table[i] for w, table in poset.restrictions(v)} for i in range(v.n_atoms)]
+        for v in poset
+        if v.id not in covered
+    ]
+    fixed: dict[str, int] = {}
+    sections = []
+
+    def dfs(k):
+        if k == len(images):
+            sections.append({c.id: GelfandPoint(c, fixed[c.id]) for c in poset})
+            return
+        for image in images[k]:
+            if all(fixed.get(cid, j) == j for cid, j in image.items()):
+                added = image.keys() - fixed.keys()
+                fixed.update(image)
+                dfs(k + 1)
+                for cid in added:
+                    del fixed[cid]
+
+    dfs(0)
+    return sections
+
+
+def section_set(sections):
+    """Sections as a set of sorted (context id, point index) tuples."""
+    return {tuple(sorted((cid, p.index) for cid, p in s.items())) for s in sections}
+
+
+def peres_rays_c3():
+    """Peres' 33 rays in C^3 (J. Phys. A 24, L175 (1991)): the permutations and
+    sign changes of (0, 0, 1), (0, 1, 1), (0, 1, sqrt 2) and (1, 1, sqrt 2),
+    normalised, with first nonzero entry positive, in lexicographic order."""
+    rays = set()
+    for base in ((0, 0, 1), (0, 1, 1), (0, 1, np.sqrt(2.0)), (1, 1, np.sqrt(2.0))):
+        for perm in permutations(base):
+            for signs in product((1, -1), repeat=3):
+                ray = tuple(float(x * sign) for x, sign in zip(perm, signs))
+                if next(x for x in ray if x) > 0:
+                    rays.add(ray)
+    return [np.array(ray) / np.linalg.norm(ray) for ray in sorted(rays)]
+
+
+def triad_colourings(triads):
+    """Every 0/1 colouring of the rays with exactly one 1 per triad, as the set
+    of rays coloured 1, by backtracking over the triads."""
+    found = []
+
+    def extend(k, ones, zeros):
+        if k == len(triads):
+            found.append(ones)
+            return
+        for ray in triads[k]:
+            others = set(triads[k]) - {ray}
+            if ray not in zeros and not others & ones:
+                extend(k + 1, ones | {ray}, zeros | others)
+
+    extend(0, frozenset(), frozenset())
+    return found
 
 
 def all_subobjects(poset):
@@ -457,6 +526,22 @@ def test_global_sections_random_posets_match_oracle():
         assert got == want
 
 
+def test_global_sections_match_the_fixed_order_walk():
+    # Posets too large for the brute-force product: random draws at dims 3-5,
+    # closed under coarsening, intersection or both, whose maximal contexts
+    # rarely share more than the trivial context; and Peres prefixes in C^4,
+    # whose maximal contexts share atoms, so picks constrain one another.
+    rng = rng_for(52)
+    kinds = [(True, False), (False, True), (True, True)]
+    posets = []
+    for trial in range(30):
+        cc, ci = kinds[trial % 3]
+        posets.append(random_poset(3 + trial // 10, rng, close_coarsening=cc, close_intersection=ci))
+    posets += [build_poset(peres_bases()[:k], close_intersection=True) for k in (5, 8, 12)]
+    for poset in posets:
+        assert section_set(global_sections(poset)) == section_set(global_sections_walk(poset))
+
+
 def test_global_sections_peres_set_has_none(monkeypatch):
     # Kochen-Specker: the Peres set admits no global value assignment.
     bases = peres_bases()
@@ -488,3 +573,56 @@ def test_global_sections_commuting_control():
     assert sorted(s[v.id].index for s in secs) == [0, 1, 2, 3]
     for s in secs:
         assert set(s) == set(poset.signature)
+
+
+@pytest.fixture(scope="module")
+def peres_c3():
+    """The 33 rays, their 16 orthogonal triads and the 24 orthogonal pairs that
+    lie in no triad, as tuples of ray indices."""
+    rays = peres_rays_c3()
+
+    def orthogonal(idx):
+        return all(abs(rays[a] @ rays[b]) < 1e-12 for a, b in combinations(idx, 2))
+
+    triads = [t for t in combinations(range(len(rays)), 3) if orthogonal(t)]
+    pairs = [
+        p
+        for p in combinations(range(len(rays)), 2)
+        if orthogonal(p) and not any(set(p) <= set(t) for t in triads)
+    ]
+    return rays, triads, pairs
+
+
+def test_global_sections_peres_c3_has_none(peres_c3):
+    # Kochen-Specker in the paper's dimension: each pair completed by its
+    # cross product gives 40 bases, whose intersection closure has no section.
+    rays, triads, pairs = peres_c3
+    assert (len(rays), len(triads), len(pairs)) == (33, 16, 24)
+    bases = [[rays[i] for i in t] for t in triads]
+    bases += [[rays[a], rays[b], np.cross(rays[a], rays[b])] for a, b in pairs]
+    poset = build_poset(
+        [context_from_atoms([Projection.onto(r) for r in basis]) for basis in bases],
+        close_intersection=True,
+    )
+    assert len(poset) == 73
+    assert global_sections(poset) == []
+
+
+def test_global_sections_peres_c3_triads_are_colourings(peres_c3):
+    # Every ray lies in a triad, so a section over the triads' closure is a
+    # 0/1 colouring of the rays with exactly one 1 per triad.
+    rays, triads, _ = peres_c3
+    assert set().union(*triads) == set(range(len(rays)))
+    contexts = [context_from_atoms([Projection.onto(rays[i]) for i in t]) for t in triads]
+    poset = build_poset(contexts, close_intersection=True)
+    assert len(poset) == 25
+    ray_at = [
+        {atom_index(v, Projection.onto(rays[i])): i for i in t} for v, t in zip(contexts, triads)
+    ]
+    coloured = [
+        frozenset(ray_at[k][s[v.id].index] for k, v in enumerate(contexts))
+        for s in global_sections(poset)
+    ]
+    want = triad_colourings(triads)
+    assert len(coloured) == len(set(coloured)) == len(want) == 3072
+    assert set(coloured) == set(want)

@@ -80,6 +80,23 @@ def test_projection_from_doc_validates():
         projection_from_doc(doc)
 
 
+def test_projection_from_doc_checks_each_property_once(monkeypatch):
+    # One norm for self-adjointness and one for idempotence; the errors are
+    # the constructor's, in that order.
+    from toposq import NotHermitianError, linalg
+    from toposq.serialization import projection_from_doc
+
+    doc = matrix_to_doc(Projection(np.diag([1.0, 0.0])))
+    calls = []
+    norm = linalg.operator_norm
+    monkeypatch.setattr(linalg, "operator_norm", lambda m: calls.append(1) or norm(m))
+    p = projection_from_doc(doc)
+    assert len(calls) == 2
+    assert p.rank == 1
+    with pytest.raises(NotHermitianError):
+        projection_from_doc({"dim": 2, "entries": [[[1, 0], [1, 0]], [[0, 0], [0, 0]]]})
+
+
 def test_vector_round_trip():
     psi = UnitVector(np.array([0.6, 0.8j]))
     back = vector_from_doc(vector_to_doc(psi))

@@ -57,6 +57,12 @@ def test_unit_vector_rejects_non_numeric_amplitude():
         UnitVector([1, "a"])
 
 
+@pytest.mark.parametrize("amplitudes", [["1", "0"], [b"1", b"0"]])
+def test_unit_vector_rejects_numeric_text(amplitudes):
+    with pytest.raises(NotNormalizedError, match="not a flat array of numbers.*text"):
+        UnitVector(amplitudes)
+
+
 def test_unit_vector_accepts_phases():
     psi = UnitVector(np.array([1j, 0.0]) )
     assert psi.projector().isclose(Projection(np.diag([1.0, 0.0])))

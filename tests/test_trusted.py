@@ -4,8 +4,8 @@ must accept it unchanged.
 
 Derived contexts (coarsenings, meets and both closures) must rebuild through
 ``Context`` with the same id and atom bytes; eigenprojections, lattice
-operations, canonicalized projections and daseinised operators must pass
-``Projection`` and ``HermitianOperator``.
+operations, canonicalized projections, complements and daseinised operators
+must pass ``Projection`` and ``HermitianOperator``.
 """
 
 from __future__ import annotations
@@ -85,7 +85,14 @@ def test_derived_operators_and_projections_pass_the_public_constructors(derived_
                     assert type(op) is HermitianOperator
                     assert_passes_public(op)
         p, q = poset.contexts[0].atoms[0], structure.projections[0]
-        for derived in (proj_meet(p, q), proj_join(p, q), canonical_projection(p.matrix + 1e-12)):
+        derived_values = (
+            proj_meet(p, q),
+            proj_join(p, q),
+            canonical_projection(p.matrix + 1e-12),
+            p.complement(),
+            q.complement(),
+        )
+        for derived in derived_values:
             assert type(derived) is Projection
             assert_passes_public(derived)
 
