@@ -39,7 +39,6 @@ from .serialization import (
     value_to_doc,
 )
 from .states import containment_report, pseudo_state, value
-from .suites import run_all
 
 __all__ = ["main"]
 
@@ -129,6 +128,9 @@ def cmd_value(args: argparse.Namespace) -> int:
 
 
 def cmd_props(args: argparse.Namespace) -> int:
+    # Imported here, so the other subcommands do not load the suites.
+    from .suites import run_all
+
     try:
         dims = tuple(int(d) for d in args.dims.split(","))
     except ValueError:

@@ -1,11 +1,18 @@
 """The global numerical tolerance and every hand-set numerical threshold.
 
-All comparisons of operators and projections in this package are absolute
+All comparisons of operators and projections in this package are
 comparisons in the spectral norm against one tolerance. The default is 1e-9,
 or the value of the TOPOSQ_TOL environment variable (the only environment
 configuration the package reads). It is read once at import and fixed for the
 life of the process. Individual operations accept a tol argument that
 overrides the default for that call.
+
+Projection decisions compare against tol itself. Three operator decisions
+compare against tol * max(1, s), so that they grow with the operator as its
+rounding error does: the self-adjointness of a HermitianOperator (s = ||A||),
+eigenvalue clustering in eigenstructure (s = max |lambda|) and the span
+residual in Context.coefficients_in_span (s = max |c_i|). For ||A|| <= 1 the
+bound is tol and every decision is unchanged.
 
 Thresholds that do not follow the tolerance are fixed here, each with its
 one-line derivation, and no other module writes one out:
@@ -17,6 +24,10 @@ one-line derivation, and no other module writes one out:
 - ID_DECIMALS, context-id rounding: 1e-6 steps dwarf the ~1e-15 atom jitter.
 - SUITE_DISTINCT_GAP: the injectivity suite needs projections distinct >> tol.
 - SUITE_SPECTRUM_SLACK: approximations' eigenvalues are A's up to eigh error.
+- NORM_SLACK, relative widening of norm_exceeds's SVD band: 1e5 x the ~1e-15
+  rounding of a small Frobenius norm or SVD.
+- NORM_TOL_RANGE, where norm_exceeds trusts the Frobenius certificate: entry
+  squares then neither overflow nor underflow to a decision-changing error.
 """
 
 from __future__ import annotations
@@ -35,6 +46,8 @@ SNAP_FLOOR = 1e-7
 ID_DECIMALS = 6
 SUITE_DISTINCT_GAP = 1e-6
 SUITE_SPECTRUM_SLACK = 1e-7
+NORM_SLACK = 1e-10
+NORM_TOL_RANGE = (1e-140, 1e140)
 
 
 def _validated(tol: float) -> float:

@@ -29,9 +29,11 @@ from .linalg import (
     HermitianOperator,
     Projection,
     eigenstructure,
+    norm_exceeds,
     operator_norm,
     proj_leq,
     require_same_dim,
+    snapped_projection,
     sum_of_projections,
 )
 
@@ -100,17 +102,17 @@ class Context:
         if any(atom.dim != dim for atom in atoms):
             raise DimensionMismatchError("atoms have mixed dimensions")
         stack = np.stack([atom.matrix for atom in atoms])
-        if (operator_norm(stack) <= tol).any():
+        if not norm_exceeds(stack, tol).all():
             raise NotAPartitionError("zero atom in partition")
         # Pairs i < j in row-major order, so the first offending pair is reported.
         first, second = np.triu_indices(len(atoms), 1)
-        overlaps = operator_norm(stack[first] @ stack[second])
-        bad = np.flatnonzero(overlaps > tol)
+        overlaps = stack[first] @ stack[second]
+        bad = np.flatnonzero(norm_exceeds(overlaps, tol))
         if bad.size:
             k = bad[0]
             raise NotAPartitionError(
                 f"atoms {first[k]} and {second[k]} are not orthogonal "
-                f"(||PQ|| = {overlaps[k]:.3e})"
+                f"(||PQ|| = {operator_norm(overlaps[k]):.3e})"
             )
         ok, defect = _sums_to(atoms, np.eye(dim), tol)
         if not ok:
@@ -165,6 +167,15 @@ class Context:
             raise ValueError(f"atom indices {checked} repeat an index")
         return sum_of_projections((self._atoms[i] for i in checked), self.dim, tol)
 
+    def _block_sum(self, block: Sequence[int], tol: float) -> Projection:
+        """sum_of_atoms for a block of distinct valid indices that toposq
+        derived: the same sum and snap, so the same bytes, without the index
+        checks or the self-adjointness check of the sum of validated atoms."""
+        total = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        for i in block:
+            total += self._atoms[i].matrix
+        return snapped_projection((total + total.conj().T) / 2.0, tol)
+
     def coefficients_in_span(
         self, a: HermitianOperator, tol: float | None = None
     ) -> np.ndarray | None:
@@ -178,7 +189,9 @@ class Context:
                 (np.trace(atom.matrix @ a.matrix) / np.trace(atom.matrix)).real
             )
             residual -= coeffs[i] * atom.matrix
-        if operator_norm(residual) > tol:
+        # The bound tol * max(1, max |c_i|) is formed only past tol.
+        norm = operator_norm(residual)
+        if norm > tol and norm > tol * max(1.0, float(np.max(np.abs(coeffs)))):
             return None
         return coeffs
 
@@ -278,7 +291,7 @@ def _merged(v: Context, blocks: Sequence[tuple[int, ...]], tol: float, sums: dic
     context is built without the constructor's checks."""
     for block in blocks:
         if block not in sums:
-            sums[block] = v.sum_of_atoms(block, tol)
+            sums[block] = v._block_sum(block, tol)
     return Context._trusted([sums[block] for block in blocks])
 
 
@@ -321,7 +334,7 @@ def intersect(v: Context, w: Context, tol: float | None = None) -> Context:
     require_same_dim(v, w)
     vs = np.stack([atom.matrix for atom in v.atoms])
     ws = np.stack([atom.matrix for atom in w.atoms])
-    blocks = _blocks(operator_norm(vs[:, None] @ ws[None, :]) > tol)
+    blocks = _blocks(norm_exceeds(vs[:, None] @ ws[None, :], tol))
     if len(blocks) < 2:
         raise TrivialIntersectionError(
             "contexts share only the identity; the intersection is the trivial algebra"
@@ -516,7 +529,7 @@ def build_poset(
                 continue
             m = min(k, n_seeds)
             vs = np.stack([atom.matrix for atom in v.atoms])
-            overlap = operator_norm(seed_atoms[:starts[m], None] @ vs[None, :]) > tol
+            overlap = norm_exceeds(seed_atoms[:starts[m], None] @ vs[None, :], tol)
             for s, u in enumerate(taken[:m]):
                 blocks = _blocks(overlap[starts[s]:starts[s + 1]])
                 if len(blocks) < 2 or (s, blocks) in met:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import resolve_tolerance
 from .contexts import Context, ContextPoset
-from .linalg import Projection, operator_norm, require_same_dim
+from .linalg import Projection, norm_exceeds, require_same_dim
 from .presheaf import ClopenSubobject
 
 __all__ = [
@@ -32,7 +32,7 @@ def outer_component_indices(
     tol = resolve_tolerance(tol)
     require_same_dim(p, v)
     atoms = np.stack([atom.matrix for atom in v.atoms])
-    return tuple(np.flatnonzero(operator_norm(atoms @ p.matrix) > tol).tolist())
+    return tuple(np.flatnonzero(norm_exceeds(atoms @ p.matrix, tol)).tolist())
 
 
 def outer_projection(p: Projection, v: Context, tol: float | None = None) -> Projection:
@@ -52,10 +52,11 @@ def daseinise_projection(
 
     The component at each context is the point set of the outer approximation
     under the lattice isomorphism with the context's projections. The result
-    is restriction-closed by construction; the subobject validator re-checks.
+    is restriction-closed by construction (outer approximation is monotone),
+    so it is not re-validated.
     """
     tol = resolve_tolerance(tol)
     components = {
         v.id: outer_component_indices(p, v, tol) for v in poset
     }
-    return ClopenSubobject(poset, components)
+    return ClopenSubobject._trusted(poset, components)

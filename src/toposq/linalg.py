@@ -8,6 +8,8 @@ threads.
 
 Conventions: matrices are complex128 numpy arrays, comparisons use the
 spectral norm, and the projection order is P <= Q iff QP = P within tolerance.
+A tolerance check on one input or one context goes through ``norm_exceeds``,
+which settles most matrices from their Frobenius norm without an SVD.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import QR_RANK_CUT, SNAP_FLOOR, resolve_tolerance
+from .config import NORM_SLACK, NORM_TOL_RANGE, QR_RANK_CUT, SNAP_FLOOR, resolve_tolerance
 from .errors import (
     DimensionMismatchError,
     InvalidFamilyError,
@@ -33,6 +35,7 @@ __all__ = [
     "EigenStructure",
     "SpectralFamily",
     "operator_norm",
+    "norm_exceeds",
     "canonical_projection",
     "eigenstructure",
     "proj_leq",
@@ -56,6 +59,30 @@ def operator_norm(matrix: np.ndarray) -> float | np.ndarray:
     return float(np.linalg.norm(matrix, 2))
 
 
+def norm_exceeds(x: np.ndarray, tol: float) -> bool | np.ndarray:
+    """Whether operator_norm(x) > tol; for a stack, the array of the answers.
+
+    With r = min(n, m), ||X||_F / sqrt(r) <= ||X||_2 <= ||X||_F, so a matrix
+    whose Frobenius norm lies outside [tol, sqrt(r) tol] is decided without
+    an SVD. The band is widened by NORM_SLACK for rounding, so every answer
+    equals the SVD's; outside NORM_TOL_RANGE every matrix takes the SVD."""
+    if not NORM_TOL_RANGE[0] <= tol <= NORM_TOL_RANGE[1]:
+        return operator_norm(x) > tol
+    low = tol * (1.0 - NORM_SLACK)
+    high = math.sqrt(min(x.shape[-2:])) * tol * (1.0 + NORM_SLACK)
+    if x.ndim == 2:
+        fro = math.sqrt(np.vdot(x, x).real)
+        if fro <= low:
+            return False
+        return fro > high or operator_norm(x) > tol
+    fro = np.linalg.norm(x, axis=(-2, -1))
+    exceeds = fro > high
+    band = ~(exceeds | (fro <= low))
+    if band.any():
+        exceeds[band] = operator_norm(x[band]) > tol
+    return exceeds
+
+
 def complex_array(entries, error: type[Exception], problem: str) -> np.ndarray:
     """entries as a new complex128 array, else error; numeric text is not a number."""
     try:
@@ -65,6 +92,8 @@ def complex_array(entries, error: type[Exception], problem: str) -> np.ndarray:
         raise error(f"{problem}: {exc}") from exc
     if raw.dtype.kind in "US":
         raise error(f"{problem}: they are text of dtype {raw.dtype}")
+    if raw.dtype.kind == "O" and any(isinstance(e, (str, bytes)) for e in raw.flat):
+        raise error(f"{problem}: an object entry is text")
     return array
 
 
@@ -84,19 +113,24 @@ class HermitianOperator:
     """An n x n complex self-adjoint matrix.
 
     The underlying array is copied on construction and frozen; ``matrix``
-    returns the read-only view.
+    returns the read-only view. Self-adjointness is checked against
+    tol * max(1, ||A||); ||A|| is only computed when ||A - A*|| exceeds tol.
     """
 
     __slots__ = ("_matrix",)
+    _scaled_tolerance = True
 
     def __init__(self, entries, tol: float | None = None):
         tol = resolve_tolerance(tol)
         matrix = _as_square_complex(entries)
-        defect = operator_norm(matrix - matrix.conj().T)
-        if defect > tol:
-            raise NotHermitianError(
-                f"matrix is not self-adjoint: ||A - A*|| = {defect:.3e} > {tol:g}"
-            )
+        defect = matrix - matrix.conj().T
+        if norm_exceeds(defect, tol):
+            bound = tol * max(1.0, operator_norm(matrix)) if self._scaled_tolerance else tol
+            if bound == tol or norm_exceeds(defect, bound):
+                raise NotHermitianError(
+                    f"matrix is not self-adjoint: ||A - A*|| = "
+                    f"{operator_norm(defect):.3e} > {bound:g}"
+                )
         matrix.setflags(write=False)
         self._matrix = matrix
 
@@ -123,25 +157,28 @@ class HermitianOperator:
         tol = resolve_tolerance(tol)
         if self.dim != other.dim:
             return False
-        return operator_norm(self._matrix - other._matrix) <= tol
+        return not norm_exceeds(self._matrix - other._matrix, tol)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
 
 
 class Projection(HermitianOperator):
-    """A self-adjoint idempotent, validated as such on construction."""
+    """A self-adjoint idempotent, validated as such on construction against
+    tol itself: projection decisions are absolute."""
 
     __slots__ = ()
+    _scaled_tolerance = False
 
     def __init__(self, entries, tol: float | None = None):
         super().__init__(entries, tol)
         tol = resolve_tolerance(tol)
         matrix = self.matrix
-        defect = operator_norm(matrix @ matrix - matrix)
-        if defect > tol:
+        defect = matrix @ matrix - matrix
+        if norm_exceeds(defect, tol):
             raise NotAProjectionError(
-                f"matrix is not idempotent: ||P^2 - P|| = {defect:.3e} > {tol:g}"
+                f"matrix is not idempotent: ||P^2 - P|| = "
+                f"{operator_norm(defect):.3e} > {tol:g}"
             )
 
     @classmethod
@@ -158,7 +195,7 @@ class Projection(HermitianOperator):
 
         A 1-d argument is treated as a single column.
         """
-        cols = np.asarray(vectors, dtype=np.complex128)
+        cols = complex_array(vectors, NotAProjectionError, "vectors are not an array of numbers")
         if cols.ndim == 1:
             cols = cols[:, None]
         q, r = np.linalg.qr(cols)
@@ -191,8 +228,14 @@ def canonical_projection(matrix: np.ndarray, tol: float | None = None) -> Projec
     tol = resolve_tolerance(tol)
     matrix = _as_square_complex(matrix)
     herm = (matrix + matrix.conj().T) / 2.0
-    if operator_norm(matrix - herm) > tol:
+    if norm_exceeds(matrix - herm, tol):
         raise NotAProjectionError("matrix is too far from self-adjoint to canonicalize")
+    return snapped_projection(herm, tol)
+
+
+def snapped_projection(herm: np.ndarray, tol: float) -> Projection:
+    """canonical_projection's snap of a self-adjoint matrix that toposq derived,
+    without its input checks; the snap check on the eigenvalues is kept."""
     values, vectors = np.linalg.eigh(herm)
     snapped = np.where(values > 0.5, 1.0, 0.0)
     if float(np.max(np.abs(values - snapped))) > max(tol, SNAP_FLOOR):
@@ -236,15 +279,17 @@ def clusters(values: Sequence[float], tol: float) -> list[list[int]]:
 def eigenstructure(a: HermitianOperator, tol: float | None = None) -> EigenStructure:
     """Distinct eigenvalues (ascending) and their spectral projections.
 
-    Raw eigenvalues closer than tol are merged into one cluster whose value is
-    the cluster mean; the cluster projection is built from the corresponding
-    eigenvectors, so reconstruction error stays within a small multiple of tol.
+    Raw eigenvalues closer than tol * max(1, max |lambda|) are merged into one
+    cluster whose value is the cluster mean; the cluster projection is built
+    from the corresponding eigenvectors, so reconstruction error stays within
+    a small multiple of that bound.
     """
     tol = resolve_tolerance(tol)
     values, vectors = np.linalg.eigh(a.matrix)
+    bound = tol * max(1.0, -float(values[0]), float(values[-1]))
     eigenvalues = []
     projections = []
-    for cluster in clusters(values, tol):
+    for cluster in clusters(values, bound):
         eigenvalues.append(float(np.mean(values[cluster])))
         projections.append(_span_projection(vectors[:, cluster]))
     return EigenStructure(tuple(eigenvalues), tuple(projections))
@@ -329,7 +374,7 @@ class SpectralFamily:
             if step.isclose(prev, tol):
                 raise InvalidFamilyError(f"step {i} equals its predecessor")
             prev = step
-        if operator_norm(steps[-1].matrix - np.eye(dim)) > tol:
+        if norm_exceeds(steps[-1].matrix - np.eye(dim), tol):
             raise InvalidFamilyError("last step must be the identity")
         self._thresholds = thresholds
         self._steps = steps

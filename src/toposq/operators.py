@@ -36,7 +36,7 @@ from .linalg import (
     Projection,
     clusters,
     eigenstructure,
-    operator_norm,
+    norm_exceeds,
     proj_leq,
     require_same_dim,
     spectral_family,
@@ -181,7 +181,7 @@ def _daseinised(
     # real multiples of the atoms is self-adjoint, so it is not re-checked.
     atoms = np.stack([atom.matrix for atom in v.atoms])
     eigenprojections = np.stack([proj.matrix for proj in structure.projections])
-    hit = operator_norm(atoms[:, None] @ eigenprojections[None]) > tol
+    hit = norm_exceeds(atoms[:, None] @ eigenprojections[None], tol)
     steps: dict[tuple[int, ...], np.ndarray] = {}
     result = []
     for extreme in extremes:
@@ -191,7 +191,7 @@ def _daseinised(
         for k in sorted(set(level)):
             below = tuple(i for i, j in enumerate(level) if j <= k)
             if below not in steps:
-                steps[below] = v.sum_of_atoms(below, tol).matrix
+                steps[below] = v._block_sum(below, tol).matrix
             acc += structure.eigenvalues[k] * (steps[below] - prev)
             prev = steps[below]
         result.append(HermitianOperator._trusted(acc))

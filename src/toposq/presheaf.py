@@ -142,6 +142,16 @@ class ClopenSubobject:
         self._components = normalized
 
     @classmethod
+    def _trusted(cls, poset: ContextPoset, components: Mapping[str, Iterable[int]]):
+        """A subobject from components that toposq derived, one per poset
+        context, in range and restriction-closed by construction; stored as
+        by the constructor, without its checks."""
+        instance = object.__new__(cls)
+        instance._poset = poset
+        instance._components = {cid: frozenset(points) for cid, points in components.items()}
+        return instance
+
+    @classmethod
     def top(cls, poset: ContextPoset) -> "ClopenSubobject":
         """The whole spectral presheaf."""
         return cls(poset, {c.id: range(c.n_atoms) for c in poset})

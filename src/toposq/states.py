@@ -75,8 +75,9 @@ class UnitVector:
         return self._amplitudes.shape[0]
 
     def projector(self) -> Projection:
-        """The rank-1 projection onto the vector."""
-        return Projection(np.outer(self._amplitudes, self._amplitudes.conj()))
+        """The rank-1 projection onto the vector: psi psi* is exactly
+        self-adjoint and idempotent to rounding, so it is not re-checked."""
+        return Projection._trusted(np.outer(self._amplitudes, self._amplitudes.conj()))
 
     def __repr__(self) -> str:
         return f"UnitVector(dim={self.dim})"

@@ -327,6 +327,19 @@ def test_malformed_tolerance_environment_names_the_variable():
     assert "TOPOSQ_TOL" in proc.stderr.strip().splitlines()[-1]
 
 
+def test_cli_import_leaves_out_the_property_suites():
+    # Only the props handler imports the suites and the samplers they use.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, toposq.cli; "
+         "print(sorted(m for m in sys.modules if m in ('toposq.suites', 'toposq.sampling')))"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_mixed_dimension_contexts_is_input_error(files, capsys):
     two = context_from_atoms(
         [Projection(np.diag([1.0, 0.0])), Projection(np.diag([0.0, 1.0]))]
@@ -339,13 +352,14 @@ def test_mixed_dimension_contexts_is_input_error(files, capsys):
 
 
 def test_suite_failure_returns_two(files, capsys, monkeypatch):
-    import toposq.cli as cli
+    import toposq.suites as suites
     from toposq.suites import SuiteResult
 
     def rigged(dims, trials, seed, tol):
         return [SuiteResult("rigged", 2, trials, 1, ["witness: rigged"])]
 
-    monkeypatch.setattr(cli, "run_all", rigged)
+    # The props handler imports run_all from the suites when it runs.
+    monkeypatch.setattr(suites, "run_all", rigged)
     code, out, _ = run(capsys, "props", "--dims", "2", "--trials", "1")
     assert code == 2
     assert "rigged" in out

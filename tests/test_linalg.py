@@ -7,6 +7,8 @@ accumulation for spectral families) rather than against the implementation.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import SQ2, rng_for
 from toposq import (
+    Context,
     DimensionMismatchError,
     HermitianOperator,
     InvalidFamilyError,
@@ -24,12 +27,14 @@ from toposq import (
     canonical_projection,
     eigenstructure,
     from_spectral_family,
+    norm_exceeds,
     operator_norm,
     proj_join,
     proj_leq,
     proj_meet,
     spectral_family,
 )
+from toposq.sampling import haar_unitary
 
 
 # ---------------------------------------------------------------- oracles
@@ -132,6 +137,20 @@ def test_numeric_text_is_not_a_number(cls, entries):
         cls(entries)
 
 
+def test_numeric_text_in_an_object_array_is_not_a_number():
+    # numpy's complex() would parse the strings and build [[1, 1], [1, 0]].
+    entries = np.array([[Fraction(1), "1"], ["1", 0]], dtype=object)
+    with pytest.raises(NotHermitianError, match="not a rectangular array of numbers.*text"):
+        HermitianOperator(entries)
+
+
+@pytest.mark.parametrize("vectors", [["1", "0"], ["a", "0"]])
+def test_projection_onto_rejects_text(vectors):
+    # ["1", "0"] used to build diag(1, 0); ["a", "0"] raised numpy's ValueError.
+    with pytest.raises(NotAProjectionError, match="not an array of numbers"):
+        Projection.onto(vectors)
+
+
 def test_projection_rejects_non_idempotent():
     with pytest.raises(NotAProjectionError):
         Projection(np.diag([0.5, 0.5]))
@@ -172,6 +191,121 @@ def test_canonical_projection_rejects_far_matrix():
 
 def test_operator_norm_is_spectral():
     assert operator_norm(np.diag([3.0, -7.0])) == pytest.approx(7.0)
+
+
+def _scaled_draws(shape, kind, target, tol, n, rng):
+    """n matrices of the given shape and kind (rank-1, full-rank or an
+    isometry, whose singular values are all equal) scaled so that ||X||_2 is
+    the target rule's value at tol."""
+    rows, cols = shape
+    r = min(shape)
+    out = []
+    for _ in range(n):
+        z = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        if kind == "rank1":
+            z = np.outer(z[:, 0], z[0].conj())
+        elif kind == "isometry":
+            u, _, vh = np.linalg.svd(z, full_matrices=False)
+            z = u @ vh
+        near = 1.0 + rng.uniform(-1e-12, 1e-12)
+        norm2 = {
+            "tol": tol * near,
+            "sqrt_r_tol": np.sqrt(r) * tol * near,
+            # ||X||_F at the band's edges: tol and sqrt(r) tol.
+            "fro_tol": tol * near * operator_norm(z) / np.linalg.norm(z),
+            "fro_sqrt_r_tol": np.sqrt(r) * tol * near * operator_norm(z) / np.linalg.norm(z),
+            "random": tol * 10.0 ** rng.uniform(-1.0, 1.0 + np.log10(np.sqrt(r))),
+        }[target]
+        out.append(z * (norm2 / operator_norm(z)))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1.0])
+def test_norm_exceeds_equals_the_svd_decision(tol):
+    rng = rng_for(61, int(tol == 1.0))
+    shapes = [(d, d) for d in (2, 3, 4, 5, 6)] + [(2, 6), (6, 3)]
+    kinds = ("rank1", "full", "isometry")
+    targets = ("tol", "sqrt_r_tol", "fro_tol", "fro_sqrt_r_tol", "random")
+    checked = 0
+    outcomes = set()
+    for shape in shapes:
+        for kind in kinds:
+            for target in targets:
+                stack = _scaled_draws(shape, kind, target, tol, 20, rng)
+                want = operator_norm(stack) > tol
+                for x, w in zip(stack, want):
+                    assert norm_exceeds(x, tol) == w
+                np.testing.assert_array_equal(norm_exceeds(stack, tol), want)
+                np.testing.assert_array_equal(
+                    norm_exceeds(stack.reshape(4, 5, *shape), tol), want.reshape(4, 5)
+                )
+                checked += len(stack)
+                outcomes |= set(want.tolist())
+    assert checked >= 2000
+    assert outcomes == {False, True}
+
+
+def test_norm_exceeds_outside_the_certified_range():
+    # Entry squares underflow below ~1e-154 and overflow above ~1e154; there
+    # every matrix takes the SVD.
+    tiny = np.full((2, 2), 1e-160)
+    assert norm_exceeds(tiny, 1e-170) is True
+    assert norm_exceeds(tiny, 1e-150) is False
+    huge = np.full((2, 2), 1e160)
+    assert norm_exceeds(huge, 1e170) is False
+    assert norm_exceeds(huge, 1e150) is True
+    assert norm_exceeds(np.zeros((3, 0)), 1e-9) is False
+    assert norm_exceeds(np.zeros((0, 2, 2)), 1e-9).shape == (0,)
+
+
+def _spread(u: np.ndarray, values) -> np.ndarray:
+    """U diag(values) U*, as computed, so self-adjoint only to rounding."""
+    return (u * np.asarray(values, dtype=float)) @ u.conj().T
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e7, 1e8])
+def test_operator_tolerance_scales_with_the_operator(scale):
+    # At 1e6 a fixed 1e-9 split the repeated eigenvalue in some draws, and at
+    # 1e7 rounding alone broke self-adjointness in every draw.
+    rng = rng_for(62, int(np.log10(scale)))
+    for _ in range(50):
+        u = haar_unitary(4, rng)
+        a = HermitianOperator(_spread(u, scale * np.array([1.0, 1.0, 2.0, 3.0])))
+        es = eigenstructure(a)
+        assert len(es) == 3
+        assert es.projections[0].rank == 2
+    # The bound is tol * max(1, ||A||): a defect far above it still fails.
+    skew = scale * np.diag([1.0, 2.0]) + np.array([[0.0, scale], [0.0, 0.0]])
+    with pytest.raises(NotHermitianError, match="not self-adjoint"):
+        HermitianOperator(skew)
+
+
+def test_operators_of_norm_at_most_one_keep_the_absolute_tolerance():
+    # max(1, s) = 1: the same decisions, so the same floats, as an absolute tol.
+    tol = 1e-9
+    rng = rng_for(63)
+    for _ in range(20):
+        a = random_hermitian(4, rng)
+        a = HermitianOperator(a.matrix / operator_norm(a.matrix))
+        values = np.linalg.eigh(a.matrix)[0]
+        runs = [[0]]
+        for i in range(1, len(values)):
+            if values[i] - values[i - 1] > tol:
+                runs.append([])
+            runs[-1].append(i)
+        want = tuple(float(np.mean(values[run])) for run in runs)
+        assert eigenstructure(a).eigenvalues == want
+    # Gaps and defects just past tol are decided as before, at ||A|| = 1,
+    # and the floor keeps smaller operators at tol, not at tol * ||A||.
+    assert len(eigenstructure(HermitianOperator(np.diag([-1.0, 1.0 - 2e-9, 1.0])))) == 3
+    assert len(eigenstructure(HermitianOperator(np.diag([0.0, 0.5, 0.5 + 0.7e-9])))) == 2
+    with pytest.raises(NotHermitianError, match="> 1e-09"):
+        HermitianOperator(np.array([[1.0, 2e-9], [0.0, 0.5]]))
+    HermitianOperator(np.array([[0.5, 0.7e-9], [0.0, 0.25]]))
+    v = Context([Projection(np.diag([1.0, 0.0])), Projection(np.diag([0.0, 1.0]))])
+    off = HermitianOperator(np.array([[0.5, 2e-9], [2e-9, 0.25]]))
+    assert v.coefficients_in_span(off) is None
+    assert sorted(v.coefficients_in_span(HermitianOperator(np.diag([0.5, 0.25])))) == [0.25, 0.5]
 
 
 # ------------------------------------------------------- eigenstructure

@@ -610,3 +610,20 @@ def test_eigenvector_point_gives_degenerate_interval():
         OrderPair({"v": float("nan")}, {"v": 0.0})
     with pytest.raises(ValueError, match="non-finite bound at context v"):
         OrderPair({"v": -float("inf")}, {"v": float("inf")})
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e7, 1e8])
+def test_operator_arrow_at_large_operator_norms(scale):
+    # The span residual of a daseinised operator grows with its coefficients;
+    # against a fixed 1e-9 it failed in 8 of 20 such draws at norm 1e6.
+    rng = rng_for(64, int(np.log10(scale)))
+    for _ in range(20):
+        poset = random_poset(3, rng, close_coarsening=True)
+        raw = random_hermitian(3, rng).matrix
+        a = HermitianOperator(raw * (scale / operator_norm(raw)))
+        arrow = operator_arrow(a, poset)
+        values = eigenstructure(a).eigenvalues
+        for v in poset:
+            for pair in arrow.pairs(v):
+                lo, hi = pair.interval(v.id)
+                assert values[0] - 1e-6 * scale <= lo <= hi <= values[-1] + 1e-6 * scale

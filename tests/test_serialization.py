@@ -81,20 +81,23 @@ def test_projection_from_doc_validates():
 
 
 def test_projection_from_doc_checks_each_property_once(monkeypatch):
-    # One norm for self-adjointness and one for idempotence; the errors are
-    # the constructor's, in that order.
-    from toposq import NotHermitianError, linalg
+    # One norm test for self-adjointness and one for idempotence; the errors
+    # are the constructor's, in that order.
+    from toposq import NotAProjectionError, NotHermitianError, linalg
     from toposq.serialization import projection_from_doc
 
     doc = matrix_to_doc(Projection(np.diag([1.0, 0.0])))
     calls = []
-    norm = linalg.operator_norm
-    monkeypatch.setattr(linalg, "operator_norm", lambda m: calls.append(1) or norm(m))
+    exceeds = linalg.norm_exceeds
+    monkeypatch.setattr(linalg, "norm_exceeds", lambda m, tol: calls.append(1) or exceeds(m, tol))
     p = projection_from_doc(doc)
     assert len(calls) == 2
     assert p.rank == 1
+    # Neither self-adjoint nor idempotent: the self-adjointness error comes first.
     with pytest.raises(NotHermitianError):
-        projection_from_doc({"dim": 2, "entries": [[[1, 0], [1, 0]], [[0, 0], [0, 0]]]})
+        projection_from_doc({"dim": 2, "entries": [[[1, 0], [1, 0]], [[0, 0], [2, 0]]]})
+    with pytest.raises(NotAProjectionError):
+        projection_from_doc({"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]})
 
 
 def test_vector_round_trip():

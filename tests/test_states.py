@@ -57,7 +57,9 @@ def test_unit_vector_rejects_non_numeric_amplitude():
         UnitVector([1, "a"])
 
 
-@pytest.mark.parametrize("amplitudes", [["1", "0"], [b"1", b"0"]])
+@pytest.mark.parametrize(
+    "amplitudes", [["1", "0"], [b"1", b"0"], np.array(["1", 0], dtype=object)]
+)
 def test_unit_vector_rejects_numeric_text(amplitudes):
     with pytest.raises(NotNormalizedError, match="not a flat array of numbers.*text"):
         UnitVector(amplitudes)

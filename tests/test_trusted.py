@@ -4,8 +4,10 @@ must accept it unchanged.
 
 Derived contexts (coarsenings, meets and both closures) must rebuild through
 ``Context`` with the same id and atom bytes; eigenprojections, lattice
-operations, canonicalized projections, complements and daseinised operators
-must pass ``Projection`` and ``HermitianOperator``.
+operations, canonicalized projections, complements, vector projectors and
+daseinised operators must pass ``Projection`` and ``HermitianOperator``;
+daseinised projections must pass ``ClopenSubobject``. The internal block sums
+must equal ``Context.sum_of_atoms`` byte for byte.
 """
 
 from __future__ import annotations
@@ -17,19 +19,27 @@ import pytest
 
 from conftest import rng_for
 from toposq import (
+    ClopenSubobject,
     Context,
     HermitianOperator,
     NotAPartitionError,
     Projection,
     canonical_projection,
     coarsenings,
+    daseinise_projection,
     eigenstructure,
     proj_join,
     proj_meet,
 )
 from toposq.config import default_tolerance
 from toposq.operators import _daseinised
-from toposq.sampling import random_hermitian, random_poset
+from toposq.sampling import (
+    random_context,
+    random_hermitian,
+    random_poset,
+    random_projection,
+    random_unit_vector,
+)
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +116,31 @@ def test_the_oracle_catches_a_derived_context_missing_a_block():
     # The coarsenings of v, built on the same path, all pass.
     for ctx in coarsenings(v):
         assert Context(ctx.atoms).id == ctx.id
+
+
+def test_daseinised_projections_and_vector_projectors_pass_the_public_constructors(
+    derived_posets,
+):
+    rng = rng_for(52)
+    for poset in derived_posets:
+        psi = random_unit_vector(poset.dim, rng)
+        projector = psi.projector()
+        assert type(projector) is Projection
+        assert_passes_public(projector)
+        for p in (projector, random_projection(poset.dim, rng)):
+            subobject = daseinise_projection(p, poset)
+            components = {v.id: subobject.component(v) for v in poset}
+            rebuilt = ClopenSubobject(poset, components)
+            assert rebuilt == subobject
+
+
+def test_block_sums_equal_sum_of_atoms_bytes():
+    tol = default_tolerance()
+    rng = rng_for(53)
+    for dim in (2, 3, 4, 5, 6):
+        for _ in range(4):
+            v = random_context(dim, rng)
+            for size in range(1, v.n_atoms + 1):
+                block = tuple(sorted(rng.choice(v.n_atoms, size=size, replace=False).tolist()))
+                want = v.sum_of_atoms(block).matrix
+                assert v._block_sum(block, tol).matrix.tobytes() == want.tobytes()
