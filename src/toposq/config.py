@@ -7,12 +7,13 @@ configuration the package reads). It is read once at import and fixed for the
 life of the process. Individual operations accept a tol argument that
 overrides the default for that call.
 
-Projection decisions compare against tol itself. Three operator decisions
+Projection decisions compare against tol itself. Four operator decisions
 compare against tol * max(1, s), so that they grow with the operator as its
 rounding error does: the self-adjointness of a HermitianOperator (s = ||A||),
-eigenvalue clustering in eigenstructure (s = max |lambda|) and the span
-residual in Context.coefficients_in_span (s = max |c_i|). For ||A|| <= 1 the
-bound is tol and every decision is unchanged.
+eigenvalue clustering in eigenstructure (s = max |lambda|), the merging of
+two spectral families' thresholds in spectral_leq (s = max |threshold|) and
+the span residual in Context.coefficients_in_span (s = max |c_i|). For
+||A|| <= 1 the bound is tol and every decision is unchanged.
 
 Thresholds that do not follow the tolerance are fixed here, each with its
 one-line derivation, and no other module writes one out:

@@ -34,7 +34,6 @@ from .linalg import (
     proj_leq,
     require_same_dim,
     snapped_projection,
-    sum_of_projections,
 )
 
 __all__ = [
@@ -165,12 +164,14 @@ class Context:
         checked = [checked_index(i, len(self._atoms)) for i in indices]
         if len(set(checked)) != len(checked):
             raise ValueError(f"atom indices {checked} repeat an index")
-        return sum_of_projections((self._atoms[i] for i in checked), self.dim, tol)
+        if not checked:
+            return Projection.zero(self.dim)
+        return self._block_sum(checked, resolve_tolerance(tol))
 
     def _block_sum(self, block: Sequence[int], tol: float) -> Projection:
-        """sum_of_atoms for a block of distinct valid indices that toposq
-        derived: the same sum and snap, so the same bytes, without the index
-        checks or the self-adjointness check of the sum of validated atoms."""
+        """sum_of_atoms for a nonempty block of distinct valid indices, without
+        the index checks: the atoms are validated and orthogonal, so their sum
+        is self-adjoint and only the snap check on its eigenvalues is kept."""
         total = np.zeros((self.dim, self.dim), dtype=np.complex128)
         for i in block:
             total += self._atoms[i].matrix

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
     "proj_join",
     "spectral_family",
     "from_spectral_family",
-    "sum_of_projections",
 ]
 
 
@@ -109,6 +108,12 @@ def _as_square_complex(entries) -> np.ndarray:
     return matrix
 
 
+def _not_self_adjoint(defect: np.ndarray, bound: float) -> NotHermitianError:
+    return NotHermitianError(
+        f"matrix is not self-adjoint: ||A - A*|| = {operator_norm(defect):.3e} > {bound:g}"
+    )
+
+
 class HermitianOperator:
     """An n x n complex self-adjoint matrix.
 
@@ -118,19 +123,15 @@ class HermitianOperator:
     """
 
     __slots__ = ("_matrix",)
-    _scaled_tolerance = True
 
     def __init__(self, entries, tol: float | None = None):
         tol = resolve_tolerance(tol)
         matrix = _as_square_complex(entries)
         defect = matrix - matrix.conj().T
         if norm_exceeds(defect, tol):
-            bound = tol * max(1.0, operator_norm(matrix)) if self._scaled_tolerance else tol
-            if bound == tol or norm_exceeds(defect, bound):
-                raise NotHermitianError(
-                    f"matrix is not self-adjoint: ||A - A*|| = "
-                    f"{operator_norm(defect):.3e} > {bound:g}"
-                )
+            bound = tol * max(1.0, operator_norm(matrix))
+            if norm_exceeds(defect, bound):
+                raise _not_self_adjoint(defect, bound)
         matrix.setflags(write=False)
         self._matrix = matrix
 
@@ -168,18 +169,21 @@ class Projection(HermitianOperator):
     tol itself: projection decisions are absolute."""
 
     __slots__ = ()
-    _scaled_tolerance = False
 
     def __init__(self, entries, tol: float | None = None):
-        super().__init__(entries, tol)
         tol = resolve_tolerance(tol)
-        matrix = self.matrix
+        matrix = _as_square_complex(entries)
+        defect = matrix - matrix.conj().T
+        if norm_exceeds(defect, tol):
+            raise _not_self_adjoint(defect, tol)
         defect = matrix @ matrix - matrix
         if norm_exceeds(defect, tol):
             raise NotAProjectionError(
                 f"matrix is not idempotent: ||P^2 - P|| = "
                 f"{operator_norm(defect):.3e} > {tol:g}"
             )
+        matrix.setflags(write=False)
+        self._matrix = matrix
 
     @classmethod
     def zero(cls, dim: int) -> "Projection":
@@ -428,19 +432,3 @@ def from_spectral_family(family: SpectralFamily) -> HermitianOperator:
         acc += t * (step.matrix - prev)
         prev = step.matrix
     return HermitianOperator(acc)
-
-
-def sum_of_projections(
-    projections: Iterable[Projection], dim: int, tol: float | None = None
-) -> Projection:
-    """Sum of pairwise-orthogonal projections, canonicalized; 0 when empty."""
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    count = 0
-    for proj in projections:
-        if proj.dim != dim:
-            raise DimensionMismatchError("projection dimension differs from target")
-        acc += proj.matrix
-        count += 1
-    if count == 0:
-        return Projection.zero(dim)
-    return canonical_projection(acc, tol)

@@ -66,16 +66,18 @@ def spectral_leq(a: HermitianOperator, b: HermitianOperator, tol: float | None =
     Checked on the merged threshold grid of both families: they are
     right-continuous and constant between grid values, so a value between
     two grid points has the steps of the one below it. Thresholds of the two
-    families closer than tol are treated as the same jump point: each cluster
-    is sampled once, past all its members, so that sub-tolerance eigenvalue
-    noise cannot manufacture a violation.
+    families closer than tol * max(1, max |threshold|), the bound eigenvalues
+    are clustered at, are treated as the same jump point: each cluster is
+    sampled once, past all its members, so that eigenvalue noise below that
+    bound cannot manufacture a violation.
     """
     tol = resolve_tolerance(tol)
     require_same_dim(a, b)
     fa = spectral_family(a, tol)
     fb = spectral_family(b, tol)
     grid = sorted(set(fa.thresholds) | set(fb.thresholds))
-    samples = [grid[run[-1]] for run in clusters(grid, tol)]
+    bound = tol * max(1.0, -grid[0], grid[-1])
+    samples = [grid[run[-1]] for run in clusters(grid, bound)]
     return all(
         proj_leq(fb.value_at(r), fa.value_at(r), tol) for r in samples
     )

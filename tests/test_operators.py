@@ -627,3 +627,18 @@ def test_operator_arrow_at_large_operator_norms(scale):
             for pair in arrow.pairs(v):
                 lo, hi = pair.interval(v.id)
                 assert values[0] - 1e-6 * scale <= lo <= hi <= values[-1] + 1e-6 * scale
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e7, 1e8])
+def test_spectral_order_of_daseinisations_at_large_operator_norms(scale):
+    # The thresholds of A and of its daseinisations differ by rounding that
+    # grows with ||A||; merged at a fixed 1e-9 they gave a violation of
+    # inner <=s A <=s outer in about half of such draws from 1e7 on.
+    rng = rng_for(65, int(np.log10(scale)))
+    for _ in range(20):
+        raw = random_hermitian(3, rng).matrix
+        a = HermitianOperator(raw * (scale / operator_norm(raw)))
+        v = random_context(3, rng)
+        assert spectral_leq(a, a)
+        assert spectral_leq(inner_operator(a, v), a)
+        assert spectral_leq(a, outer_operator(a, v))

@@ -6,8 +6,9 @@ Derived contexts (coarsenings, meets and both closures) must rebuild through
 ``Context`` with the same id and atom bytes; eigenprojections, lattice
 operations, canonicalized projections, complements, vector projectors and
 daseinised operators must pass ``Projection`` and ``HermitianOperator``;
-daseinised projections must pass ``ClopenSubobject``. The internal block sums
-must equal ``Context.sum_of_atoms`` byte for byte.
+daseinised projections must pass ``ClopenSubobject``. Block sums of a
+context's atoms must equal ``canonical_projection`` of the same sum byte for
+byte.
 """
 
 from __future__ import annotations
@@ -134,7 +135,9 @@ def test_daseinised_projections_and_vector_projectors_pass_the_public_constructo
             assert rebuilt == subobject
 
 
-def test_block_sums_equal_sum_of_atoms_bytes():
+def test_block_sums_equal_the_checked_canonical_projection_bytes():
+    # sum_of_atoms and the derived block sums skip canonical_projection's
+    # input checks; its snap of the same atom sum is the oracle.
     tol = default_tolerance()
     rng = rng_for(53)
     for dim in (2, 3, 4, 5, 6):
@@ -142,5 +145,8 @@ def test_block_sums_equal_sum_of_atoms_bytes():
             v = random_context(dim, rng)
             for size in range(1, v.n_atoms + 1):
                 block = tuple(sorted(rng.choice(v.n_atoms, size=size, replace=False).tolist()))
-                want = v.sum_of_atoms(block).matrix
-                assert v._block_sum(block, tol).matrix.tobytes() == want.tobytes()
+                total = sum(v.atoms[i].matrix for i in block)
+                want = canonical_projection(total, tol).matrix.tobytes()
+                assert v._block_sum(block, tol).matrix.tobytes() == want
+                assert v.sum_of_atoms(block).matrix.tobytes() == want
+    assert not v.sum_of_atoms([]).matrix.any()
