@@ -356,14 +356,35 @@ def dominating_atom_index(
     return None
 
 
+def _atom_order(contexts: Sequence[Context], tol: float) -> tuple[np.ndarray, list[list[int]]]:
+    """below[b, a] = proj_leq(P_b, P_a) over the distinct atoms of contexts
+    (equal bytes, one atom), and each context's atoms as indices into below.
+    The products go in blocks of at most 256 matrices, to bound memory."""
+    matrices = {atom.matrix.tobytes(): atom.matrix for ctx in contexts for atom in ctx.atoms}
+    index = {key: b for b, key in enumerate(matrices)}
+    rows = [[index[atom.matrix.tobytes()] for atom in ctx.atoms] for ctx in contexts]
+    stack = np.stack(list(matrices.values()))
+    below = np.empty((len(stack), len(stack)), dtype=bool)
+    step = max(1, 256 // len(stack))
+    for start in range(0, len(stack), step):
+        block = stack[start:start + step, None]
+        below[start:start + step] = ~norm_exceeds(stack[None] @ block - block, tol)
+    return below, rows
+
+
 class ContextPoset:
     """A finite set of same-dimension contexts ordered by inclusion.
 
     Contexts are deduplicated by id and kept in id order, and of two members
-    that include each other at the tolerance only the first is kept. One
-    ``restriction_table`` call per pair precomputes the order and its tables,
-    so the poset is immutable and cheap to query. A query naming a context
-    that is not a member raises KeyError.
+    that include each other at the tolerance only the first is kept. The
+    order comes from one atom-order matrix, ``below[b, a] = proj_leq(P_b,
+    P_a)`` over the members' distinct atoms: sub <= sup exactly when every
+    atom of sup lies below an atom of sub. With M the context x atom
+    incidence matrix, that is ``(M @ cover) == M.sum(1)`` for ``cover =
+    below @ M.T > 0``. A table maps each sup atom to the first sub atom above
+    it. So the poset is immutable and cheap to query; ``restriction_table``
+    is the pairwise oracle of its order. A query naming a context that is
+    not a member raises KeyError.
     """
 
     __slots__ = ("_contexts", "_by_id", "_down")
@@ -384,25 +405,31 @@ class ContextPoset:
                 raise MixedDimensionsError(
                     f"contexts of dimension {dim} and {ctx.dim} in one poset"
                 )
-        # sup_id -> {sub_id: table} for every sub <= sup in id order, sup
-        # itself included: the only record of the order and its tables.
-        down = {
-            sup.id: {
-                sub.id: table
-                for sub in ordered
-                if (table := restriction_table(sub, sup, tol)) is not None
-            }
-            for sup in ordered
-        }
+        below, rows = _atom_order(ordered, tol)
+        incidence = np.zeros((len(ordered), len(below)), dtype=np.float32)
+        for c, ids in enumerate(rows):
+            incidence[c, ids] = 1.0
+        cover = (below.astype(np.float32) @ incidence.T > 0).astype(np.float32)
+        # leq[sup, sub]; float32 counts are exact far past any atom count.
+        leq = incidence @ cover == incidence.sum(1)[:, None]
         # Antisymmetry at the tolerance: of two members that include each
         # other, only the first in id order stays.
-        kept: dict[str, Context] = {}
-        for v in ordered:
-            if not any(u in down[v.id] and v.id in down[u] for u in kept):
-                kept[v.id] = v
-        self._contexts = tuple(kept.values())
-        self._by_id = kept
-        self._down = {v: {w: down[v][w] for w in down[v] if w in kept} for v in kept}
+        kept: list[int] = []
+        for s in range(len(ordered)):
+            if not (leq[s, kept] & leq[kept, s]).any():
+                kept.append(s)
+        # sup_id -> {sub_id: table} for every sub <= sup in id order, sup
+        # itself included: the only record of the order and its tables.
+        self._down = {}
+        for s in kept:
+            sup_rows = below[rows[s]]
+            self._down[ordered[s].id] = {
+                ordered[c].id: tuple(sup_rows[:, rows[c]].argmax(1).tolist())
+                for c in kept
+                if leq[s, c]
+            }
+        self._contexts = tuple(ordered[s] for s in kept)
+        self._by_id = {ctx.id: ctx for ctx in self._contexts}
 
     @property
     def contexts(self) -> tuple[Context, ...]:

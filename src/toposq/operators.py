@@ -19,6 +19,8 @@ operators, which is what the operator arrow records per point and subcontext.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -28,6 +30,7 @@ from .contexts import Context, ContextPoset, checked_index
 from .errors import (
     DimensionMismatchError,
     InternalInvariantViolation,
+    NotInContextError,
     PosetMismatchError,
 )
 from .linalg import (
@@ -41,7 +44,7 @@ from .linalg import (
     require_same_dim,
     spectral_family,
 )
-from .presheaf import GelfandPoint, evaluate, restrict, spectrum
+from .presheaf import GelfandPoint
 
 __all__ = [
     "PrincipalFilter",
@@ -237,6 +240,15 @@ def gelfand_transform_outer(
     return observable(a, cone(filter_from_point(point)), tol)
 
 
+def _check_interval(item: tuple[str, float, float]) -> None:
+    """ValueError unless the (cid, mu, nu) triple has finite bounds with mu <= nu."""
+    cid, lo, hi = item
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"non-finite bound at context {cid}: [{lo!r}, {hi!r}]")
+    if lo > hi + ORDER_PAIR_SLACK:
+        raise ValueError(f"mu exceeds nu at context {cid}: {lo!r} > {hi!r}")
+
+
 class OrderPair:
     """A pair of real functions (mu, nu) on the contexts below some context.
 
@@ -254,14 +266,18 @@ class OrderPair:
         items = tuple(
             (cid, float(mu[cid]), float(nu[cid])) for cid in sorted(mu)
         )
-        for cid, lo, hi in items:
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"non-finite bound at context {cid}: [{lo!r}, {hi!r}]")
-            if lo > hi + ORDER_PAIR_SLACK:
-                raise ValueError(
-                    f"mu exceeds nu at context {cid}: {lo!r} > {hi!r}"
-                )
+        for item in items:
+            _check_interval(item)
         self._items = items
+
+    @classmethod
+    def _trusted(cls, items: tuple[tuple[str, float, float], ...]) -> "OrderPair":
+        """A pair from (cid, mu, nu) triples in id order, each already passed
+        through the constructor's checks; stored as given, so triples shared
+        between pairs stay shared."""
+        pair = object.__new__(cls)
+        pair._items = items
+        return pair
 
     @property
     def domain(self) -> tuple[str, ...]:
@@ -280,9 +296,11 @@ class OrderPair:
         return self._items
 
     def _lookup(self, cid: str) -> tuple[float, float]:
-        for item_cid, lo, hi in self._items:
-            if item_cid == cid:
-                return (lo, hi)
+        # The domain is sorted, so the id is found by bisection.
+        if isinstance(cid, str):
+            k = bisect_left(self._items, cid, key=itemgetter(0))
+            if k < len(self._items) and self._items[k][0] == cid:
+                return self._items[k][1:]
         raise KeyError(cid)
 
     def __eq__(self, other) -> bool:
@@ -344,44 +362,54 @@ def operator_arrow(
     A's eigenstructure is taken once for the whole poset. Per context, one
     overlap test of its atoms against A's eigenprojections gives both the
     inner and the outer approximation, whose staircases share their atom sums
-    (the same matrices as ``inner_operator`` and ``outer_operator``). Each is
-    evaluated at the restriction of each character to every smaller context.
-    Naturality (the pair of a restricted character is the restriction of the
-    pair) holds by construction and is re-checked; failure raises
-    InternalInvariantViolation.
+    (the same matrices as ``inner_operator`` and ``outer_operator``). Their
+    coefficients are read once per context, as ``evaluate`` reads them
+    (NotInContextError alike), into one checked (id, mu, nu) triple per
+    point. The pair of point i of v holds, for each member w below v, the
+    triple of the point of w that the poset's table sends i to, so every
+    pair that reaches a triple shares it. Naturality (the pair of a
+    restricted character is the restriction of the pair) holds by
+    construction and is re-checked; failure raises InternalInvariantViolation.
     """
     tol = resolve_tolerance(tol)
     require_same_dim(a, poset)
     structure = eigenstructure(a, tol)
-    daseinised = {v.id: _daseinised(structure, v, tol, (np.min, np.max)) for v in poset}
-    components: dict[str, tuple[OrderPair, ...]] = {}
+    triples: dict[str, list[tuple[str, float, float]]] = {}
+    for w in poset:
+        coeffs = [
+            w.coefficients_in_span(approximation, tol)
+            for approximation in _daseinised(structure, w, tol, (np.min, np.max))
+        ]
+        if coeffs[0] is None or coeffs[1] is None:
+            raise NotInContextError("operator is not in the span of the context's atoms")
+        triples[w.id] = [(w.id, lo, hi) for lo, hi in zip(coeffs[0].tolist(), coeffs[1].tolist())]
+        for item in triples[w.id]:
+            _check_interval(item)
+    components = {}
     for v in poset:
-        pairs = []
-        for point in spectrum(v):
-            mu: dict[str, float] = {}
-            nu: dict[str, float] = {}
-            for w in poset.down_set(v):
-                image = restrict(point, w, tol)
-                inner, outer = daseinised[w.id]
-                mu[w.id] = evaluate(image, inner, tol)
-                nu[w.id] = evaluate(image, outer, tol)
-            pairs.append(OrderPair(mu, nu))
-        components[v.id] = tuple(pairs)
+        below = [(triples[w.id], table) for w, table in poset.restrictions(v)]
+        components[v.id] = tuple(
+            OrderPair._trusted(tuple(points[table[i]] for points, table in below))
+            for i in range(v.n_atoms)
+        )
     arrow = OperatorArrow(poset, components)
     _check_naturality(arrow)
     return arrow
 
 
 def _check_naturality(arrow: OperatorArrow) -> None:
+    # Each triple of a pair of w sits in a pair of v at the position its id
+    # has in v's down-set, computed once per (v, w).
     poset = arrow.poset
     for v in poset:
+        position = {w.id: k for k, w in enumerate(poset.down_set(v))}
         for w, table in poset.restrictions(v):
             if w is v:
                 continue
+            places = [position[u.id] for u in poset.down_set(w)]
+            small_pairs = arrow.pairs(w)
             for big, j in zip(arrow.pairs(v), table):
-                small = arrow.pairs(w)[j]
-                for cid in small.domain:
-                    if big.interval(cid) != small.interval(cid):
-                        raise InternalInvariantViolation(
-                            f"arrow is not natural along {w.id} <= {v.id}"
-                        )
+                if tuple(map(big.intervals().__getitem__, places)) != small_pairs[j].intervals():
+                    raise InternalInvariantViolation(
+                        f"arrow is not natural along {w.id} <= {v.id}"
+                    )

@@ -1,9 +1,9 @@
 """Shared fixtures: the spin-1 worked instance, randomized-input helpers and
-the Peres bases."""
+Peres' Kochen-Specker sets in C^3 and C^4."""
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -87,3 +87,48 @@ def peres_bases():
     ]
     bases = [b for b in combinations(rays, 4) if all(p @ q == 0 for p, q in combinations(b, 2))]
     return [context_from_atoms([Projection.onto(r) for r in b]) for b in bases]
+
+
+def peres_rays_c3():
+    """Peres' 33 rays in C^3 (J. Phys. A 24, L175 (1991)): the permutations and
+    sign changes of (0, 0, 1), (0, 1, 1), (0, 1, sqrt 2) and (1, 1, sqrt 2),
+    normalised, with first nonzero entry positive, in lexicographic order."""
+    rays = set()
+    for base in ((0, 0, 1), (0, 1, 1), (0, 1, np.sqrt(2.0)), (1, 1, np.sqrt(2.0))):
+        for perm in permutations(base):
+            for signs in product((1, -1), repeat=3):
+                ray = tuple(float(x * sign) for x, sign in zip(perm, signs))
+                if next(x for x in ray if x) > 0:
+                    rays.add(ray)
+    return [np.array(ray) / np.linalg.norm(ray) for ray in sorted(rays)]
+
+
+@pytest.fixture(scope="session")
+def peres_c3():
+    """The 33 rays, their 16 orthogonal triads and the 24 orthogonal pairs that
+    lie in no triad, as tuples of ray indices."""
+    rays = peres_rays_c3()
+
+    def orthogonal(idx):
+        return all(abs(rays[a] @ rays[b]) < 1e-12 for a, b in combinations(idx, 2))
+
+    triads = [t for t in combinations(range(len(rays)), 3) if orthogonal(t)]
+    pairs = [
+        p
+        for p in combinations(range(len(rays)), 2)
+        if orthogonal(p) and not any(set(p) <= set(t) for t in triads)
+    ]
+    return rays, triads, pairs
+
+
+@pytest.fixture(scope="session")
+def peres_c3_poset(peres_c3):
+    """The intersection closure of Peres' 40 bases in C^3: the 16 triads and
+    each of the 24 other orthogonal pairs completed by its cross product."""
+    rays, triads, pairs = peres_c3
+    bases = [[rays[i] for i in t] for t in triads]
+    bases += [[rays[a], rays[b], np.cross(rays[a], rays[b])] for a, b in pairs]
+    return build_poset(
+        [context_from_atoms([Projection.onto(r) for r in basis]) for basis in bases],
+        close_intersection=True,
+    )

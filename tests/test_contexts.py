@@ -32,7 +32,7 @@ from toposq import (
     operator_norm,
     proj_leq,
 )
-from toposq.contexts import _blocks
+from toposq.contexts import _blocks, restriction_table
 from toposq.sampling import random_context, random_maximal_context
 
 
@@ -526,6 +526,41 @@ def test_mutually_included_members_keep_first_id():
         for y in closure:
             if closure.leq(x, y) and closure.leq(y, x):
                 assert x == y
+    for poset in (ContextPoset([a, b]), ContextPoset([b, a]), closure):
+        assert_order_is_restriction_table(poset)
+
+
+def assert_order_is_restriction_table(poset: ContextPoset) -> None:
+    # The pairwise oracle on every ordered pair, the diagonal included.
+    for sup in poset:
+        tables = {w.id: table for w, table in poset.restrictions(sup)}
+        for sub in poset:
+            table = restriction_table(sub, sup)
+            assert poset.leq(sub, sup) == (table is not None)
+            assert tables.get(sub.id) == table
+
+
+def test_order_and_tables_match_restriction_table_on_every_ordered_pair(peres_c3_poset):
+    closures = [
+        build_poset([random_maximal_context(dim, rng_for(51, dim))], close_coarsening=True)
+        for dim in range(2, 7)
+    ]
+    assert len(closures[-1]) == 202 and len(closures[-1].strict_pairs()) == 2066
+    # Random intersection closures: a random maximal context, one of its
+    # coarsenings and three copies turned in random planes, which share atoms.
+    rng = rng_for(52)
+    meets = []
+    for dim in (3, 4, 5, 5):
+        v = random_maximal_context(dim, rng)
+        turned = [
+            rotated(v, *rng.choice(dim, 2, replace=False), rng.uniform(0.2, 1.2)) for _ in range(3)
+        ]
+        parts = coarsenings(v)
+        meets.append(build_poset([v, parts[rng.integers(len(parts))]] + turned, close_intersection=True))
+    assert all(poset.strict_pairs() for poset in meets)
+    peres = build_poset(peres_bases(), close_intersection=True)
+    for poset in closures + meets + [peres, peres_c3_poset]:
+        assert_order_is_restriction_table(poset)
 
 
 def test_build_poset_mixed_dims_rejected(eigen_context):

@@ -14,10 +14,14 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+import toposq
+import toposq.contexts
 import toposq.operators
+import toposq.presheaf
 from conftest import SQ2, atom_index, rng_for
 from toposq import (
     Context,
+    ContextPoset,
     DimensionMismatchError,
     GelfandPoint,
     HermitianOperator,
@@ -543,6 +547,63 @@ def test_arrow_takes_one_eigenstructure(monkeypatch, sz, spin_poset):
         calls.clear()
         operator_arrow(a, p)
         assert calls == [a]
+
+
+def test_arrow_and_poset_read_tables_not_pairwise_decisions(monkeypatch):
+    """One arrow build over a dim-4 closure decides no inclusion, restricts
+    and evaluates no point, and reads two coefficient vectors per context;
+    the poset's construction calls no restriction_table."""
+    poset = build_poset([random_maximal_context(4, rng_for(81))], close_coarsening=True)
+    a = random_hermitian(4, rng_for(82))
+    calls = {"restriction_table": 0, "restrict": 0, "evaluate": 0}
+    for name in calls:
+        for module in (toposq.contexts, toposq.presheaf, toposq.operators, toposq):
+            if hasattr(module, name):
+                original = getattr(module, name)
+
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    spans = []
+    coefficients_in_span = Context.coefficients_in_span
+
+    def counted_span(self, *args, **kwargs):
+        spans.append(self.id)
+        return coefficients_in_span(self, *args, **kwargs)
+
+    monkeypatch.setattr(Context, "coefficients_in_span", counted_span)
+    operator_arrow(a, poset)
+    assert calls == {"restriction_table": 0, "restrict": 0, "evaluate": 0}
+    assert sorted(spans) == sorted(2 * list(poset.signature))
+    ContextPoset(poset.contexts)
+    assert calls["restriction_table"] == 0
+
+
+def test_arrow_pairs_share_one_triple_per_point(sz, spin_poset):
+    # Every pair of v reads its intervals from the triples of the points of
+    # the members below v, so the distinct triple objects number the points.
+    poset = build_poset([random_maximal_context(5, rng_for(83))], close_coarsening=True)
+    for a, p in ((sz, spin_poset), (random_hermitian(5, rng_for(84)), poset)):
+        arrow = operator_arrow(a, p)
+        triples = {id(item) for v in p for pair in arrow.pairs(v) for item in pair.intervals()}
+        assert len(triples) == sum(v.n_atoms for v in p)
+
+
+def test_order_pair_lookup_by_id():
+    # Lookups bisect the sorted domain; an id outside it, or not a string,
+    # raises KeyError naming it.
+    pair = OrderPair({"b": 1.0, "a": 0.0, "d": 3.0}, {"b": 1.5, "a": 0.5, "d": 3.5})
+    assert pair.domain == ("a", "b", "d")
+    assert [pair.mu(cid) for cid in "abd"] == [0.0, 1.0, 3.0]
+    assert [pair.nu(cid) for cid in "abd"] == [0.5, 1.5, 3.5]
+    assert pair.interval("d") == (3.0, 3.5)
+    for unknown in ("", "c", "e", "0", None, 1):
+        for lookup in (pair.mu, pair.nu, pair.interval):
+            with pytest.raises(KeyError) as info:
+                lookup(unknown)
+            assert info.value.args == (unknown,)
 
 
 def test_arrow_equals_the_public_route_exactly(sz, spin_poset):

@@ -11,7 +11,7 @@ of "compatible choice".
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -98,20 +98,6 @@ def global_sections_walk(poset):
 def section_set(sections):
     """Sections as a set of sorted (context id, point index) tuples."""
     return {tuple(sorted((cid, p.index) for cid, p in s.items())) for s in sections}
-
-
-def peres_rays_c3():
-    """Peres' 33 rays in C^3 (J. Phys. A 24, L175 (1991)): the permutations and
-    sign changes of (0, 0, 1), (0, 1, 1), (0, 1, sqrt 2) and (1, 1, sqrt 2),
-    normalised, with first nonzero entry positive, in lexicographic order."""
-    rays = set()
-    for base in ((0, 0, 1), (0, 1, 1), (0, 1, np.sqrt(2.0)), (1, 1, np.sqrt(2.0))):
-        for perm in permutations(base):
-            for signs in product((1, -1), repeat=3):
-                ray = tuple(float(x * sign) for x, sign in zip(perm, signs))
-                if next(x for x in ray if x) > 0:
-                    rays.add(ray)
-    return [np.array(ray) / np.linalg.norm(ray) for ray in sorted(rays)]
 
 
 def triad_colourings(triads):
@@ -270,8 +256,9 @@ def test_restrict_functorial_and_surjective():
 
 
 def test_restriction_tables_match_dominating_atom_oracle(table_posets):
-    # The poset's tables, includes and restrict share one restriction_table
-    # pass; dominating_atom_index searches the sub atoms independently.
+    # The poset's tables come from its atom-order matrix, restrict's from a
+    # restriction_table pass; dominating_atom_index searches the sub atoms
+    # independently.
     for poset in table_posets:
         for sub_id, sup_id in poset.strict_pairs():
             sub, sup = poset.get(sub_id), poset.get(sup_id)
@@ -575,37 +562,13 @@ def test_global_sections_commuting_control():
         assert set(s) == set(poset.signature)
 
 
-@pytest.fixture(scope="module")
-def peres_c3():
-    """The 33 rays, their 16 orthogonal triads and the 24 orthogonal pairs that
-    lie in no triad, as tuples of ray indices."""
-    rays = peres_rays_c3()
-
-    def orthogonal(idx):
-        return all(abs(rays[a] @ rays[b]) < 1e-12 for a, b in combinations(idx, 2))
-
-    triads = [t for t in combinations(range(len(rays)), 3) if orthogonal(t)]
-    pairs = [
-        p
-        for p in combinations(range(len(rays)), 2)
-        if orthogonal(p) and not any(set(p) <= set(t) for t in triads)
-    ]
-    return rays, triads, pairs
-
-
-def test_global_sections_peres_c3_has_none(peres_c3):
+def test_global_sections_peres_c3_has_none(peres_c3, peres_c3_poset):
     # Kochen-Specker in the paper's dimension: each pair completed by its
     # cross product gives 40 bases, whose intersection closure has no section.
     rays, triads, pairs = peres_c3
     assert (len(rays), len(triads), len(pairs)) == (33, 16, 24)
-    bases = [[rays[i] for i in t] for t in triads]
-    bases += [[rays[a], rays[b], np.cross(rays[a], rays[b])] for a, b in pairs]
-    poset = build_poset(
-        [context_from_atoms([Projection.onto(r) for r in basis]) for basis in bases],
-        close_intersection=True,
-    )
-    assert len(poset) == 73
-    assert global_sections(poset) == []
+    assert len(peres_c3_poset) == 73
+    assert global_sections(peres_c3_poset) == []
 
 
 def test_global_sections_peres_c3_triads_are_colourings(peres_c3):

@@ -78,8 +78,8 @@ def test_no_benchmark_or_oracle_imports():
 
 
 def test_dominating_atom_index_not_called_in_package():
-    # Restriction tables come from one restriction_table pass; the atom
-    # search that checks them in the tests must not feed them.
+    # Restriction tables are read from the poset's atom-order matrix; the
+    # atom search that checks them in the tests must not feed them.
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

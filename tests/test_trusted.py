@@ -6,9 +6,9 @@ Derived contexts (coarsenings, meets and both closures) must rebuild through
 ``Context`` with the same id and atom bytes; eigenprojections, lattice
 operations, canonicalized projections, complements, vector projectors and
 daseinised operators must pass ``Projection`` and ``HermitianOperator``;
-daseinised projections must pass ``ClopenSubobject``. Block sums of a
-context's atoms must equal ``canonical_projection`` of the same sum byte for
-byte.
+daseinised projections must pass ``ClopenSubobject``, and the arrow's pairs
+``OrderPair``. Block sums of a context's atoms must equal
+``canonical_projection`` of the same sum byte for byte.
 """
 
 from __future__ import annotations
@@ -24,11 +24,13 @@ from toposq import (
     Context,
     HermitianOperator,
     NotAPartitionError,
+    OrderPair,
     Projection,
     canonical_projection,
     coarsenings,
     daseinise_projection,
     eigenstructure,
+    operator_arrow,
     proj_join,
     proj_meet,
 )
@@ -106,6 +108,19 @@ def test_derived_operators_and_projections_pass_the_public_constructors(derived_
         for derived in derived_values:
             assert type(derived) is Projection
             assert_passes_public(derived)
+
+
+def test_arrow_pairs_pass_the_order_pair_constructor(derived_posets):
+    # operator_arrow stores each pair through OrderPair._trusted; rebuilt
+    # from its mu and nu, every pair is equal to it.
+    rng = rng_for(54)
+    for poset in derived_posets:
+        arrow = operator_arrow(random_hermitian(poset.dim, rng), poset)
+        for v in poset:
+            for pair in arrow.pairs(v):
+                mu = {cid: lo for cid, lo, _ in pair.intervals()}
+                nu = {cid: hi for cid, _, hi in pair.intervals()}
+                assert OrderPair(mu, nu) == pair
 
 
 def test_the_oracle_catches_a_derived_context_missing_a_block():
