@@ -12,8 +12,10 @@ compare against tol * max(1, s), so that they grow with the operator as its
 rounding error does: the self-adjointness of a HermitianOperator (s = ||A||),
 eigenvalue clustering in eigenstructure (s = max |lambda|), the merging of
 two spectral families' thresholds in spectral_leq (s = max |threshold|) and
-the span residual in Context.coefficients_in_span (s = max |c_i|). For
-||A|| <= 1 the bound is tol and every decision is unchanged.
+the span residual of a daseinised operator (s = max |c_i|), decided per
+context in Context.coefficients_in_span and for a whole poset at once in
+operator_arrow. For ||A|| <= 1 the bound is tol and every decision is
+unchanged.
 
 Thresholds that do not follow the tolerance are fixed here, each with its
 one-line derivation, and no other module writes one out:

@@ -59,14 +59,15 @@ def _atom_sort_key(p: Projection) -> bytes:
 
 def _sums_to(
     parts: Sequence[Projection], target: np.ndarray, tol: float
-) -> tuple[bool, float]:
+) -> tuple[bool, np.ndarray]:
     """Whether the parts sum to target within max(tol, PARTITION_SLACK * k),
-    k the number of parts (at least 1), and the defect ||sum - target||."""
+    k the number of parts (at least 1), and the difference sum - target,
+    whose norm only an error message needs."""
     total = np.zeros(target.shape, dtype=np.complex128)
     for part in parts:
         total = total + part.matrix
-    defect = operator_norm(total - target)
-    return defect <= max(tol, PARTITION_SLACK * max(len(parts), 1)), defect
+    difference = total - target
+    return not norm_exceeds(difference, max(tol, PARTITION_SLACK * max(len(parts), 1))), difference
 
 
 def checked_index(index, n_atoms: int) -> int:
@@ -113,10 +114,10 @@ class Context:
                 f"atoms {first[k]} and {second[k]} are not orthogonal "
                 f"(||PQ|| = {operator_norm(overlaps[k]):.3e})"
             )
-        ok, defect = _sums_to(atoms, np.eye(dim), tol)
+        ok, difference = _sums_to(atoms, np.eye(dim), tol)
         if not ok:
             raise NotAPartitionError(
-                f"atoms do not sum to the identity (defect {defect:.3e})"
+                f"atoms do not sum to the identity (defect {operator_norm(difference):.3e})"
             )
         self._store(atoms)
 
@@ -356,10 +357,13 @@ def dominating_atom_index(
     return None
 
 
-def _atom_order(contexts: Sequence[Context], tol: float) -> tuple[np.ndarray, list[list[int]]]:
-    """below[b, a] = proj_leq(P_b, P_a) over the distinct atoms of contexts
-    (equal bytes, one atom), and each context's atoms as indices into below.
-    The products go in blocks of at most 256 matrices, to bound memory."""
+def _atom_order(
+    contexts: Sequence[Context], tol: float
+) -> tuple[np.ndarray, np.ndarray, list[list[int]]]:
+    """The stack of the distinct atoms of contexts (equal bytes, one atom),
+    below[b, a] = proj_leq(P_b, P_a) over it, and each context's atoms as
+    indices into the stack. The products go in blocks of at most 256
+    matrices, to bound memory."""
     matrices = {atom.matrix.tobytes(): atom.matrix for ctx in contexts for atom in ctx.atoms}
     index = {key: b for b, key in enumerate(matrices)}
     rows = [[index[atom.matrix.tobytes()] for atom in ctx.atoms] for ctx in contexts]
@@ -369,7 +373,7 @@ def _atom_order(contexts: Sequence[Context], tol: float) -> tuple[np.ndarray, li
     for start in range(0, len(stack), step):
         block = stack[start:start + step, None]
         below[start:start + step] = ~norm_exceeds(stack[None] @ block - block, tol)
-    return below, rows
+    return stack, below, rows
 
 
 class ContextPoset:
@@ -385,9 +389,13 @@ class ContextPoset:
     it. So the poset is immutable and cheap to query; ``restriction_table``
     is the pairwise oracle of its order. A query naming a context that is
     not a member raises KeyError.
+
+    The batched kernels read, read-only, the stack of the distinct atoms
+    with a zero matrix last, and each member's row of indices into it,
+    padded with the zero matrix's index past its atoms.
     """
 
-    __slots__ = ("_contexts", "_by_id", "_down")
+    __slots__ = ("_contexts", "_by_id", "_down", "_atom_stack", "_atom_rows", "_defects")
 
     def __init__(self, contexts: Iterable[Context], tol: float | None = None):
         tol = resolve_tolerance(tol)
@@ -405,7 +413,7 @@ class ContextPoset:
                 raise MixedDimensionsError(
                     f"contexts of dimension {dim} and {ctx.dim} in one poset"
                 )
-        below, rows = _atom_order(ordered, tol)
+        stack, below, rows = _atom_order(ordered, tol)
         incidence = np.zeros((len(ordered), len(below)), dtype=np.float32)
         for c, ids in enumerate(rows):
             incidence[c, ids] = 1.0
@@ -430,6 +438,12 @@ class ContextPoset:
             }
         self._contexts = tuple(ordered[s] for s in kept)
         self._by_id = {ctx.id: ctx for ctx in self._contexts}
+        width = max(len(rows[s]) for s in kept)
+        self._atom_rows = np.array([rows[s] + [len(stack)] * (width - len(rows[s])) for s in kept])
+        self._atom_stack = np.concatenate([stack, np.zeros_like(stack[:1])])
+        for array in (self._atom_stack, self._atom_rows):
+            array.setflags(write=False)
+        self._defects = None
 
     @property
     def contexts(self) -> tuple[Context, ...]:
@@ -493,6 +507,30 @@ class ContextPoset:
         if table is None:
             raise KeyError(f"{sub_id} is not included in {sup_id} within this poset")
         return table[checked_index(atom_index, len(table))]
+
+    def _composition_defects(self) -> tuple[tuple[str, str, str, int | None, int], ...]:
+        """Where the tables do not compose: (sub, sup, u, direct, composed)
+        for members u <= sub < sup and a point of sup that sup's table to u
+        sends to point direct of u, and the tables through sub to point
+        composed (direct is None when u is below sub but not below sup).
+        Ordered by sup, then sub; built on the first call and kept."""
+        if self._defects is None:
+            self._defects = self._find_defects()
+        return self._defects
+
+    def _find_defects(self) -> tuple[tuple[str, str, str, int | None, int], ...]:
+        # One tuple comparison per chain u <= sub < sup; points only where it fails.
+        found = []
+        for sup, down in self._down.items():
+            for sub, to_sub in down.items():
+                if sub == sup:
+                    continue
+                for u, to_u in self._down[sub].items():
+                    composed = tuple(map(to_u.__getitem__, to_sub))
+                    if composed != down.get(u):
+                        direct = down.get(u, (None,) * len(composed))
+                        found += [(sub, sup, u, d, c) for d, c in zip(direct, composed) if d != c]
+        return tuple(found)
 
     def __repr__(self) -> str:
         return f"ContextPoset(dim={self.dim}, n_contexts={len(self._contexts)})"

@@ -51,12 +51,17 @@ def daseinise_projection(
     """The clopen subobject collecting the outer approximations of p.
 
     The component at each context is the point set of the outer approximation
-    under the lattice isomorphism with the context's projections. The result
-    is restriction-closed by construction (outer approximation is monotone),
-    so it is not re-validated.
+    under the lattice isomorphism with the context's projections, read from
+    one overlap test of p against the poset's atom stack (the decisions of
+    ``outer_component_indices``). The result is restriction-closed by
+    construction (outer approximation is monotone), so it is not re-validated.
     """
     tol = resolve_tolerance(tol)
+    require_same_dim(p, poset)
+    hit = norm_exceeds(poset._atom_stack @ p.matrix, tol).tolist()
+    # The zero matrix that pads the rows overlaps nothing.
     components = {
-        v.id: outer_component_indices(p, v, tol) for v in poset
+        v.id: tuple(i for i, g in enumerate(row) if hit[g])
+        for v, row in zip(poset, poset._atom_rows.tolist())
     }
     return ClopenSubobject._trusted(poset, components)

@@ -58,14 +58,23 @@ def operator_norm(matrix: np.ndarray) -> float | np.ndarray:
     return float(np.linalg.norm(matrix, 2))
 
 
-def norm_exceeds(x: np.ndarray, tol: float) -> bool | np.ndarray:
-    """Whether operator_norm(x) > tol; for a stack, the array of the answers.
+def norm_exceeds(x: np.ndarray, tol: float | np.ndarray) -> bool | np.ndarray:
+    """Whether operator_norm(x) > tol; for a stack, the array of the answers,
+    and tol may be an array of one tolerance per matrix.
 
     With r = min(n, m), ||X||_F / sqrt(r) <= ||X||_2 <= ||X||_F, so a matrix
     whose Frobenius norm lies outside [tol, sqrt(r) tol] is decided without
     an SVD. The band is widened by NORM_SLACK for rounding, so every answer
     equals the SVD's; outside NORM_TOL_RANGE every matrix takes the SVD."""
-    if not NORM_TOL_RANGE[0] <= tol <= NORM_TOL_RANGE[1]:
+    per_matrix = np.ndim(tol) > 0
+    if per_matrix:
+        outside = (tol < NORM_TOL_RANGE[0]) | (tol > NORM_TOL_RANGE[1])
+        if outside.any():
+            exceeds = np.empty(outside.shape, dtype=bool)
+            exceeds[outside] = operator_norm(x[outside]) > tol[outside]
+            exceeds[~outside] = norm_exceeds(x[~outside], tol[~outside])
+            return exceeds
+    elif not NORM_TOL_RANGE[0] <= tol <= NORM_TOL_RANGE[1]:
         return operator_norm(x) > tol
     low = tol * (1.0 - NORM_SLACK)
     high = math.sqrt(min(x.shape[-2:])) * tol * (1.0 + NORM_SLACK)
@@ -77,6 +86,8 @@ def norm_exceeds(x: np.ndarray, tol: float) -> bool | np.ndarray:
     fro = np.linalg.norm(x, axis=(-2, -1))
     exceeds = fro > high
     band = ~(exceeds | (fro <= low))
+    if per_matrix:
+        tol = tol[band]
     if band.any():
         exceeds[band] = operator_norm(x[band]) > tol
     return exceeds
@@ -247,6 +258,26 @@ def snapped_projection(herm: np.ndarray, tol: float) -> Projection:
     return _span_projection(vectors[:, snapped > 0.5])
 
 
+def snapped_projections(herms: np.ndarray, tol: float) -> np.ndarray:
+    """snapped_projection of every matrix of a stack, as one stack of matrices:
+    one batched eigh, then one product per rank. Each basis keeps the layout
+    of snapped_projection's, so every product is the same BLAS call and the
+    floats are the same as one by one."""
+    values, vectors = np.linalg.eigh(herms)
+    snapped = np.where(values > 0.5, 1.0, 0.0)
+    if float(np.max(np.abs(values - snapped))) > max(tol, SNAP_FLOOR):
+        raise NotAProjectionError("eigenvalues are not close to {0, 1}")
+    # eigh sorts eigenvalues ascending: the kept eigenvectors are the last ones.
+    n = herms.shape[-1]
+    ranks = snapped.sum(-1).astype(int)
+    result = np.empty_like(herms)
+    for r in set(ranks.tolist()):
+        group = np.flatnonzero(ranks == r)
+        basis = np.ascontiguousarray(vectors[group].swapaxes(1, 2)[:, n - r:]).swapaxes(1, 2)
+        result[group] = basis @ basis.conj().swapaxes(1, 2)
+    return result
+
+
 @dataclass(frozen=True)
 class EigenStructure:
     """Distinct (clustered) eigenvalues of an operator with eigenprojections."""
@@ -309,7 +340,7 @@ def proj_leq(p: Projection, q: Projection, tol: float | None = None) -> bool:
     """Projection order: P <= Q iff QP = P within tolerance."""
     tol = resolve_tolerance(tol)
     require_same_dim(p, q)
-    return operator_norm(q.matrix @ p.matrix - p.matrix) <= tol
+    return not norm_exceeds(q.matrix @ p.matrix - p.matrix, tol)
 
 
 def proj_meet(p: Projection, q: Projection, tol: float | None = None) -> Projection:

@@ -42,6 +42,7 @@ from .linalg import (
     norm_exceeds,
     proj_leq,
     require_same_dim,
+    snapped_projections,
     spectral_family,
 )
 from .presheaf import GelfandPoint
@@ -176,31 +177,25 @@ def observable(a: HermitianOperator, f: PrincipalFilter, tol: float | None = Non
 
 
 def _daseinised(
-    structure: EigenStructure, v: Context, tol: float, extremes
-) -> tuple[HermitianOperator, ...]:
-    # hit[i, k]: atom i overlaps eigenprojection k (||Q_i P_k|| > tol); for each
-    # extreme, atom i's coefficient is eigenvalue extreme(hits of i). sum_i c_i Q_i
-    # is summed as the staircase sum_k t_k (S_k - S_k-1), S_k the atoms at or
-    # below t_k, which gives the floats of the spectral-step route, so value
-    # subobjects dedupe alike. The staircases share their steps S_k. A sum of
-    # real multiples of the atoms is self-adjoint, so it is not re-checked.
+    structure: EigenStructure, v: Context, tol: float, extreme
+) -> HermitianOperator:
+    # hit[i, k]: atom i overlaps eigenprojection k (||Q_i P_k|| > tol); atom i's
+    # coefficient is eigenvalue extreme(hits of i). sum_i c_i Q_i is summed as
+    # the staircase sum_k t_k (S_k - S_k-1), S_k the atoms at or below t_k,
+    # which gives the floats of the spectral-step route, so value subobjects
+    # dedupe alike. A sum of real multiples of the atoms is self-adjoint, so it
+    # is not re-checked.
     atoms = np.stack([atom.matrix for atom in v.atoms])
     eigenprojections = np.stack([proj.matrix for proj in structure.projections])
     hit = norm_exceeds(atoms[:, None] @ eigenprojections[None], tol)
-    steps: dict[tuple[int, ...], np.ndarray] = {}
-    result = []
-    for extreme in extremes:
-        level = [extreme(np.flatnonzero(row)) for row in hit]
-        acc = np.zeros_like(atoms[0])
-        prev = np.zeros_like(atoms[0])
-        for k in sorted(set(level)):
-            below = tuple(i for i, j in enumerate(level) if j <= k)
-            if below not in steps:
-                steps[below] = v._block_sum(below, tol).matrix
-            acc += structure.eigenvalues[k] * (steps[below] - prev)
-            prev = steps[below]
-        result.append(HermitianOperator._trusted(acc))
-    return tuple(result)
+    level = [extreme(np.flatnonzero(row)) for row in hit]
+    acc = np.zeros_like(atoms[0])
+    prev = np.zeros_like(atoms[0])
+    for k in sorted(set(level)):
+        step = v._block_sum(tuple(i for i, j in enumerate(level) if j <= k), tol).matrix
+        acc += structure.eigenvalues[k] * (step - prev)
+        prev = step
+    return HermitianOperator._trusted(acc)
 
 
 def inner_operator(a: HermitianOperator, v: Context, tol: float | None = None) -> HermitianOperator:
@@ -212,7 +207,7 @@ def inner_operator(a: HermitianOperator, v: Context, tol: float | None = None) -
     """
     tol = resolve_tolerance(tol)
     require_same_dim(a, v)
-    return _daseinised(eigenstructure(a, tol), v, tol, (np.min,))[0]
+    return _daseinised(eigenstructure(a, tol), v, tol, np.min)
 
 
 def outer_operator(a: HermitianOperator, v: Context, tol: float | None = None) -> HermitianOperator:
@@ -221,7 +216,7 @@ def outer_operator(a: HermitianOperator, v: Context, tol: float | None = None) -
     passes the largest eigenvalue overlapping Q: sum_Q max{lambda : PQ != 0} Q."""
     tol = resolve_tolerance(tol)
     require_same_dim(a, v)
-    return _daseinised(eigenstructure(a, tol), v, tol, (np.max,))[0]
+    return _daseinised(eigenstructure(a, tol), v, tol, np.max)
 
 
 def gelfand_transform_inner(
@@ -354,16 +349,93 @@ class OperatorArrow:
         return f"OperatorArrow(n_contexts={len(self._poset)})"
 
 
+def _approximations(
+    structure: EigenStructure, atoms: np.ndarray, rows: np.ndarray, tol: float
+) -> np.ndarray:
+    """The inner and outer approximation of A at every member of a poset, an
+    (N, 2, n, n) stack; atoms and rows are the poset's atom stack and rows.
+
+    Each is _daseinised's staircase sum_k t_k (S_k - S_k-1) with the same
+    floats: every distinct step S_k of every member is summed in atom order
+    (zero padding adds exact zeros), all are snapped at once, and then every
+    staircase climbs one level per pass, with zero terms past its top."""
+    # Each atom's least and greatest level: the first and last eigenprojection
+    # P_k it overlaps (||Q P_k|| > tol), as in _daseinised. The zero matrix
+    # last in the stack pads the rows.
+    eigenprojections = np.stack([proj.matrix for proj in structure.projections])
+    hit = norm_exceeds(atoms[:-1, None] @ eigenprojections[None], tol)
+    if not hit.any(1).all():
+        raise ValueError(f"an atom overlaps no eigenprojection at tolerance {tol:g}")
+    lowest = hit.argmax(1).tolist()
+    highest = (len(structure) - 1 - hit[:, ::-1].argmax(1)).tolist()
+    pad = len(atoms) - 1
+    steps: dict[tuple[int, ...], int] = {}
+    stairs: list[list[int]] = []
+    levels: list[list[int]] = []
+    for row in rows.tolist():
+        ids = [g for g in row if g != pad]
+        for level in (lowest, highest):
+            at = [level[g] for g in ids]
+            levels.append(sorted(set(at)))
+            stairs.append([
+                steps.setdefault(tuple(g for g, j in zip(ids, at) if j <= k), len(steps))
+                for k in levels[-1]
+            ])
+    n = atoms.shape[-1]
+    width = max(map(len, steps))
+    blocks = np.array([block + (pad,) * (width - len(block)) for block in steps])
+    total = np.zeros((len(blocks), n, n), dtype=np.complex128)
+    for j in range(width):
+        total += atoms[blocks[:, j]]
+    # The zero matrix last is the step below every staircase's first.
+    projections = np.concatenate([
+        snapped_projections((total + total.conj().swapaxes(1, 2)) / 2.0, tol), atoms[pad:]
+    ])
+    depth = max(map(len, stairs))
+    eigenvalues = structure.eigenvalues
+    values = np.array([[eigenvalues[k] for k in ks] + [0.0] * (depth - len(ks)) for ks in levels])
+    upper = np.array([s + [len(steps)] * (depth - len(s)) for s in stairs])
+    lower = np.concatenate([np.full((len(upper), 1), len(steps)), upper[:, :-1]], axis=1)
+    acc = np.zeros((len(upper), n, n), dtype=np.complex128)
+    for j in range(depth):
+        acc += values[:, j, None, None] * (projections[upper[:, j]] - projections[lower[:, j]])
+    return acc.reshape(len(rows), 2, n, n)
+
+
+def _span_coefficients(
+    approximations: np.ndarray, atoms: np.ndarray, rows: np.ndarray, tol: float
+) -> np.ndarray:
+    """Each approximation's coefficients over its member's atoms, (N, A, 2)
+    with zeros past a member's atoms, read as Context.coefficients_in_span
+    reads them; NotInContextError unless every residual is within
+    tol * max(1, max |c_i|), decided by one norm_exceeds call."""
+    n = atoms.shape[-1]
+    members, slots = np.nonzero(rows != len(atoms) - 1)
+    ids = rows[members, slots]
+    products = atoms[ids, None] @ approximations[members]
+    traces = np.trace(atoms[ids], axis1=1, axis2=2)
+    coeffs = np.zeros(rows.shape + (2,))
+    coeffs[members, slots] = (np.trace(products, axis1=2, axis2=3) / traces[:, None]).real
+    residual = approximations.copy()
+    for j in range(rows.shape[1]):
+        residual -= coeffs[:, j, :, None, None] * atoms[rows[:, j], None]
+    bound = tol * np.maximum(1.0, np.abs(coeffs).max(axis=1))
+    if norm_exceeds(residual.reshape(-1, n, n), bound.reshape(-1)).any():
+        raise NotInContextError("operator is not in the span of the context's atoms")
+    return coeffs
+
+
 def operator_arrow(
     a: HermitianOperator, poset: ContextPoset, tol: float | None = None
 ) -> OperatorArrow:
     """Compute the arrow of an operator over a context poset.
 
-    A's eigenstructure is taken once for the whole poset. Per context, one
-    overlap test of its atoms against A's eigenprojections gives both the
-    inner and the outer approximation, whose staircases share their atom sums
-    (the same matrices as ``inner_operator`` and ``outer_operator``). Their
-    coefficients are read once per context, as ``evaluate`` reads them
+    A's eigenstructure is taken once for the whole poset, and the rest runs
+    as a fixed number of batched kernels over the poset's atom stack: one
+    overlap test of every atom against every eigenprojection gives the levels
+    of both approximations at every member (the matrices of
+    ``inner_operator`` and ``outer_operator``), and one product and trace
+    reads all their coefficients, as ``evaluate`` reads them
     (NotInContextError alike), into one checked (id, mu, nu) triple per
     point. The pair of point i of v holds, for each member w below v, the
     triple of the point of w that the poset's table sends i to, so every
@@ -374,42 +446,26 @@ def operator_arrow(
     tol = resolve_tolerance(tol)
     require_same_dim(a, poset)
     structure = eigenstructure(a, tol)
+    atoms, rows = poset._atom_stack, poset._atom_rows
+    coeffs = _span_coefficients(_approximations(structure, atoms, rows, tol), atoms, rows, tol)
     triples: dict[str, list[tuple[str, float, float]]] = {}
-    for w in poset:
-        coeffs = [
-            w.coefficients_in_span(approximation, tol)
-            for approximation in _daseinised(structure, w, tol, (np.min, np.max))
-        ]
-        if coeffs[0] is None or coeffs[1] is None:
-            raise NotInContextError("operator is not in the span of the context's atoms")
-        triples[w.id] = [(w.id, lo, hi) for lo, hi in zip(coeffs[0].tolist(), coeffs[1].tolist())]
+    for w, values in zip(poset, coeffs.tolist()):
+        triples[w.id] = [(w.id, lo, hi) for lo, hi in values[:w.n_atoms]]
         for item in triples[w.id]:
             _check_interval(item)
     components = {}
-    for v in poset:
-        below = [(triples[w.id], table) for w, table in poset.restrictions(v)]
-        components[v.id] = tuple(
-            OrderPair._trusted(tuple(points[table[i]] for points, table in below))
-            for i in range(v.n_atoms)
-        )
-    arrow = OperatorArrow(poset, components)
-    _check_naturality(arrow)
-    return arrow
+    for v, down in poset._down.items():
+        columns = [list(map(triples[w].__getitem__, table)) for w, table in down.items()]
+        components[v] = tuple(map(OrderPair._trusted, zip(*columns)))
+    _check_naturality(poset, triples)
+    return OperatorArrow(poset, components)
 
 
-def _check_naturality(arrow: OperatorArrow) -> None:
-    # Each triple of a pair of w sits in a pair of v at the position its id
-    # has in v's down-set, computed once per (v, w).
-    poset = arrow.poset
-    for v in poset:
-        position = {w.id: k for k, w in enumerate(poset.down_set(v))}
-        for w, table in poset.restrictions(v):
-            if w is v:
-                continue
-            places = [position[u.id] for u in poset.down_set(w)]
-            small_pairs = arrow.pairs(w)
-            for big, j in zip(arrow.pairs(v), table):
-                if tuple(map(big.intervals().__getitem__, places)) != small_pairs[j].intervals():
-                    raise InternalInvariantViolation(
-                        f"arrow is not natural along {w.id} <= {v.id}"
-                    )
+def _check_naturality(poset: ContextPoset, triples: Mapping[str, list]) -> None:
+    # The pair of point i of v holds triples[u][T_vu[i]] at each u below v;
+    # restricted to w it must equal the pair of point T_vw[i] of w, which
+    # holds triples[u][T_wu[T_vw[i]]]. The values can differ only where the
+    # two table routes differ, and the poset lists those places once.
+    for sub, sup, u, direct, composed in poset._composition_defects():
+        if direct is None or triples[u][direct][1:] != triples[u][composed][1:]:
+            raise InternalInvariantViolation(f"arrow is not natural along {sub} <= {sup}")

@@ -32,8 +32,9 @@ from toposq import (
     operator_norm,
     proj_leq,
 )
-from toposq.contexts import _blocks, restriction_table
-from toposq.sampling import random_context, random_maximal_context
+from toposq.config import PARTITION_SLACK
+from toposq.contexts import _blocks, _sums_to, restriction_table
+from toposq.sampling import haar_unitary, random_context, random_maximal_context
 
 
 # ---------------------------------------------------------------- oracles
@@ -647,3 +648,24 @@ def test_random_context_rejects_dimension_below_two_before_drawing():
     assert [random_context(4, rng, n_atoms=k).id for k in (2, 3, 4)] == [
         "d4516e3db6f6a095", "eedc3a7d870afc04", "5cd5206ae9c40926",
     ]
+
+
+def test_partition_sum_check_decides_as_the_svd_inside_the_band():
+    # Targets off the sum of four atoms by a difference with singular values
+    # near the bound max(tol, PARTITION_SLACK * 4) and below it: its Frobenius
+    # norm lies in norm_exceeds's SVD band, and each answer is the SVD's.
+    rng = rng_for(68)
+    atoms = [Projection(np.diag(row)) for row in np.eye(4)]
+    outcomes = set()
+    for tol in (1e-9, 1e-12):
+        bound = max(tol, PARTITION_SLACK * 4)
+        for _ in range(100):
+            u = haar_unitary(4, rng)
+            values = [1.0 + rng.uniform(-1e-6, 1e-6), rng.uniform(0.3, 0.99), 0.0, 0.0]
+            target = np.eye(4) + (u * (bound * np.array(values))) @ u.conj().T
+            ok, difference = _sums_to(atoms, target, tol)
+            assert bound < np.linalg.norm(difference) <= 2 * bound
+            want = operator_norm(difference) <= bound
+            assert ok == want
+            outcomes.add(want)
+    assert outcomes == {False, True}

@@ -258,6 +258,39 @@ def test_norm_exceeds_outside_the_certified_range():
     assert norm_exceeds(np.zeros((0, 2, 2)), 1e-9).shape == (0,)
 
 
+def test_norm_exceeds_takes_one_tolerance_per_matrix():
+    # Norms within 1e-3 of their own tolerance, some outside the certified
+    # range: every answer is the SVD's and the one-matrix call's.
+    rng = rng_for(66)
+    z = rng.normal(size=(80, 3, 3)) + 1j * rng.normal(size=(80, 3, 3))
+    tols = 10.0 ** rng.uniform(-12.0, 3.0, size=80)
+    tols[:4] = (1e-170, 1e-150, 1e150, 1e170)
+    stack = z * (tols * (1.0 + rng.uniform(-1e-3, 1e-3, size=80)) / operator_norm(z))[:, None, None]
+    want = operator_norm(stack) > tols
+    np.testing.assert_array_equal(norm_exceeds(stack, tols), want)
+    assert [norm_exceeds(x, t) for x, t in zip(stack, tols)] == want.tolist()
+    assert want.any() and not want.all()
+
+
+def test_proj_leq_decides_as_the_svd_inside_the_band():
+    # ||QP - P|| has singular values near tol and below it, so ||QP - P||_F
+    # lies in norm_exceeds's SVD band (tol, 2 tol] of a 4 x 4 matrix.
+    tol = 1e-9
+    rng = rng_for(67)
+    e = np.eye(4)
+    p = Projection.onto(e[:, :2])
+    outcomes = set()
+    for _ in range(200):
+        near, below = tol * (1.0 + rng.uniform(-1e-6, 1e-6)), tol * rng.uniform(0.3, 0.99)
+        q = Projection.onto(np.stack([e[0] + near * e[2], e[1] + below * e[3]], axis=1))
+        difference = q.matrix @ p.matrix - p.matrix
+        assert tol < np.linalg.norm(difference) <= 2 * tol
+        want = operator_norm(difference) <= tol
+        assert proj_leq(p, q, tol) == want
+        outcomes.add(want)
+    assert outcomes == {False, True}
+
+
 def _spread(u: np.ndarray, values) -> np.ndarray:
     """U diag(values) U*, as computed, so self-adjoint only to rounding."""
     return (u * np.asarray(values, dtype=float)) @ u.conj().T

@@ -9,6 +9,8 @@ through independent code paths, so each is used to pin the other.
 
 from __future__ import annotations
 
+import inspect
+import struct
 from itertools import combinations, product
 
 import numpy as np
@@ -18,7 +20,7 @@ import toposq
 import toposq.contexts
 import toposq.operators
 import toposq.presheaf
-from conftest import SQ2, atom_index, rng_for
+from conftest import SQ2, atom_index, peres_bases, rng_for
 from toposq import (
     Context,
     ContextPoset,
@@ -50,6 +52,7 @@ from toposq import (
     outer_projection,
     proj_leq,
     restrict,
+    restriction_table,
     spectral_family,
     spectral_leq,
     spectrum,
@@ -549,34 +552,52 @@ def test_arrow_takes_one_eigenstructure(monkeypatch, sz, spin_poset):
         assert calls == [a]
 
 
-def test_arrow_and_poset_read_tables_not_pairwise_decisions(monkeypatch):
-    """One arrow build over a dim-4 closure decides no inclusion, restricts
-    and evaluates no point, and reads two coefficient vectors per context;
-    the poset's construction calls no restriction_table."""
-    poset = build_poset([random_maximal_context(4, rng_for(81))], close_coarsening=True)
-    a = random_hermitian(4, rng_for(82))
-    calls = {"restriction_table": 0, "restrict": 0, "evaluate": 0}
-    for name in calls:
+def test_arrow_runs_batched_kernels_not_per_context_reads(monkeypatch):
+    """An arrow reads no coefficients through coefficients_in_span and
+    restricts, evaluates and decides no pair; its eigh and SVD calls do not
+    grow from a dim-4 to a dim-5 closure (14 and 51 contexts); a second arrow
+    over the same poset reuses the naturality index; and the poset's
+    construction calls no restriction_table."""
+    calls = dict.fromkeys(
+        ("restriction_table", "restrict", "evaluate", "coefficients_in_span",
+         "eigh", "svd", "index"), 0
+    )
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in ("restriction_table", "restrict", "evaluate"):
         for module in (toposq.contexts, toposq.presheaf, toposq.operators, toposq):
             if hasattr(module, name):
-                original = getattr(module, name)
-
-                def counted(*args, _name=name, _original=original, **kwargs):
-                    calls[_name] += 1
-                    return _original(*args, **kwargs)
-
-                monkeypatch.setattr(module, name, counted)
-    spans = []
-    coefficients_in_span = Context.coefficients_in_span
-
-    def counted_span(self, *args, **kwargs):
-        spans.append(self.id)
-        return coefficients_in_span(self, *args, **kwargs)
-
-    monkeypatch.setattr(Context, "coefficients_in_span", counted_span)
-    operator_arrow(a, poset)
-    assert calls == {"restriction_table": 0, "restrict": 0, "evaluate": 0}
-    assert sorted(spans) == sorted(2 * list(poset.signature))
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    span = Context.coefficients_in_span
+    monkeypatch.setattr(Context, "coefficients_in_span", counting("coefficients_in_span", span))
+    monkeypatch.setattr(ContextPoset, "_find_defects", counting("index", ContextPoset._find_defects))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    # np.linalg.norm(x, 2), behind operator_norm, calls the svd of its own module.
+    norm_globals = inspect.unwrap(np.linalg.norm).__globals__
+    monkeypatch.setitem(norm_globals, "svd", counting("svd", norm_globals["svd"]))
+    operator_norm(np.eye(2))
+    assert calls["svd"] == 1
+    kernels = {}
+    for dim in (4, 5):
+        poset = build_poset([random_maximal_context(dim, rng_for(81, dim))], close_coarsening=True)
+        a = random_hermitian(dim, rng_for(82, dim))
+        for arrow_number in (1, 2):
+            calls.update(dict.fromkeys(calls, 0))
+            operator_arrow(a, poset)
+            kernels[dim, arrow_number] = (calls["eigh"], calls["svd"])
+            assert calls == {
+                "restriction_table": 0, "restrict": 0, "evaluate": 0, "coefficients_in_span": 0,
+                "eigh": calls["eigh"], "svd": calls["svd"], "index": int(arrow_number == 1),
+            }
+    assert kernels[4, 1] == kernels[5, 1] == kernels[4, 2] == kernels[5, 2]
+    assert kernels[4, 1][0] == 2  # A's eigenstructure and the batched snap
+    calls["restriction_table"] = 0
     ContextPoset(poset.contexts)
     assert calls["restriction_table"] == 0
 
@@ -606,29 +627,103 @@ def test_order_pair_lookup_by_id():
             assert info.value.args == (unknown,)
 
 
+def _interval_bytes(intervals) -> bytes:
+    """The (id, mu, nu) triples as bytes: -0.0 and 0.0 differ, as in round12."""
+    return b"".join(cid.encode() + struct.pack("<dd", lo, hi) for cid, lo, hi in intervals)
+
+
 def test_arrow_equals_the_public_route_exactly(sz, spin_poset):
-    """The arrow's shared per-context work gives the floats of inner_operator,
-    outer_operator, restrict and evaluate called one by one."""
+    """The arrow's batched kernels give, byte for byte, the floats of
+    inner_operator, outer_operator, restrict and evaluate called one by one:
+    on coarsening closures at dims 3-6, the intersection closure of Peres'
+    24 bases in C^4, and an operator of norm 1e7, whose span residuals pass
+    only under the scaled bound tol * max(1, max |c_i|)."""
     rng = rng_for(80)
     cases = [(sz, spin_poset)]
-    for dim in (3, 4, 5):
+    for dim in (3, 4, 5, 6):
         v = random_maximal_context(dim, rng)
         poset = build_poset([v], close_coarsening=True)
         repeated = rng.standard_normal(dim)
         repeated[1] = repeated[0]
         in_span = HermitianOperator(sum(x * atom.matrix for x, atom in zip(repeated, v.atoms)))
         cases += [(in_span, poset), (random_hermitian(dim, rng), poset)]
+    raw = random_hermitian(4, rng).matrix
+    cases.append((HermitianOperator(raw * (1e7 / operator_norm(raw))), cases[4][1]))
+    cases.append((random_hermitian(4, rng), build_poset(peres_bases(), close_intersection=True)))
+    assert [len(poset) for _, poset in cases[-4:]] == [202, 202, 14, 93]
     for a, poset in cases:
         arrow = operator_arrow(a, poset)
-        inner = {w.id: inner_operator(a, w) for w in poset}
-        outer = {w.id: outer_operator(a, w) for w in poset}
+        triples = {}
+        for w in poset:
+            inner, outer = inner_operator(a, w), outer_operator(a, w)
+            triples[w.id] = [(w.id, evaluate(p, inner), evaluate(p, outer)) for p in spectrum(w)]
         for v in poset:
+            # restrict(point, w) is the point of w that restriction_table(w, v)
+            # names; the table is read once per pair here, to keep dim 6 fast.
+            tables = {w.id: restriction_table(w, v) for w in poset.down_set(v)}
             for point in spectrum(v):
-                want = []
-                for w in poset.down_set(v):
-                    image = restrict(point, w)
-                    want.append((w.id, evaluate(image, inner[w.id]), evaluate(image, outer[w.id])))
-                assert arrow.pair(v, point.index).intervals() == tuple(sorted(want))
+                want = [triples[w][table[point.index]] for w, table in tables.items()]
+                got = arrow.pair(v, point.index).intervals()
+                assert _interval_bytes(got) == _interval_bytes(want)
+
+
+def test_batched_span_check_decides_at_the_scaled_bound(monkeypatch):
+    """A residual rigged into one context's outer approximation just above
+    tol * max(1, max |c_i|) makes the batched span check raise
+    NotInContextError, and one just below does not; coefficients_in_span
+    decides the same on the same matrix."""
+    rng = rng_for(85)
+    v = random_maximal_context(4, rng)
+    poset = build_poset([v], close_coarsening=True)
+    a = HermitianOperator(sum(x * atom.matrix for x, atom in zip([-700.0, 3.0, 40.0, 900.0], v.atoms)))
+    target = 5
+    w = poset.contexts[target]
+    outer = outer_operator(a, w)
+    bound = 1e-9 * max(1.0, float(np.max(np.abs(w.coefficients_in_span(outer)))))
+    assert bound == pytest.approx(9e-7)
+    # X couples two atoms of w: every trace(Q_i X) vanishes, so the
+    # coefficients stay, and ||X|| = 1 with ||X||_F = sqrt(2): the residual
+    # lies in norm_exceeds's SVD band.
+    u0, u1 = (np.linalg.eigh(atom.matrix)[1][:, -1] for atom in w.atoms[:2])
+    off = np.outer(u0, u1.conj()) + np.outer(u1, u0.conj())
+    approximations = toposq.operators._approximations
+    for factor, raises in ((1.0 + 1e-4, True), (1.0 - 1e-4, False)):
+        rigged = {}
+
+        def rig(*args):
+            stack = approximations(*args)
+            stack[target, 1] += factor * bound * off
+            rigged["matrix"] = stack[target, 1].copy()
+            return stack
+
+        monkeypatch.setattr(toposq.operators, "_approximations", rig)
+        if raises:
+            with pytest.raises(toposq.NotInContextError):
+                operator_arrow(a, poset)
+        else:
+            operator_arrow(a, poset)
+        coefficients = w.coefficients_in_span(HermitianOperator(rigged["matrix"]))
+        assert (coefficients is None) == raises
+
+
+def test_naturality_check_fires_on_a_rigged_table():
+    """A restriction table rigged so that a restricted pair differs from the
+    pair of the restricted point, or a member dropped from a down-set while
+    a member in between keeps it, makes the arrow raise
+    InternalInvariantViolation from the naturality check."""
+    for rig in ("swap", "drop"):
+        v = random_maximal_context(4, rng_for(86))
+        poset = build_poset([v], close_coarsening=True)
+        a = HermitianOperator(sum(x * atom.matrix for x, atom in zip(range(4), v.atoms)))
+        # u has two points, and some three-atom w lies between u and v.
+        u = next(w for w in poset if w.n_atoms == 2)
+        if rig == "swap":
+            poset._down[v.id][u.id] = tuple(1 - j for j in poset._down[v.id][u.id])
+        else:
+            del poset._down[v.id][u.id]
+        with pytest.raises(InternalInvariantViolation, match=f"<= {v.id}"):
+            operator_arrow(a, poset)
+        assert poset._composition_defects()
 
 
 def test_arrow_naturality_explicit(sz, spin_poset):

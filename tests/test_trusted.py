@@ -94,7 +94,7 @@ def test_derived_operators_and_projections_pass_the_public_constructors(derived_
             for proj in structure.projections:
                 assert_passes_public(proj)
             for v in poset:
-                for op in _daseinised(structure, v, tol, (np.min, np.max)):
+                for op in (_daseinised(structure, v, tol, extreme) for extreme in (np.min, np.max)):
                     assert type(op) is HermitianOperator
                     assert_passes_public(op)
         p, q = poset.contexts[0].atoms[0], structure.projections[0]
