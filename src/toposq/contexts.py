@@ -20,6 +20,7 @@ import numpy as np
 from .config import ID_DECIMALS, PARTITION_SLACK, resolve_tolerance
 from .errors import (
     DimensionMismatchError,
+    InternalInvariantViolation,
     MixedDimensionsError,
     NotAPartitionError,
     ScalarOperatorError,
@@ -380,8 +381,9 @@ class ContextPoset:
     """A finite set of same-dimension contexts ordered by inclusion.
 
     Contexts are deduplicated by id and kept in id order, and of two members
-    that include each other at the tolerance only the first is kept. The
-    order comes from one atom-order matrix, ``below[b, a] = proj_leq(P_b,
+    that include each other at the tolerance only the first is kept; an
+    order not transitive at the tolerance raises InternalInvariantViolation.
+    The order comes from one atom-order matrix, ``below[b, a] = proj_leq(P_b,
     P_a)`` over the members' distinct atoms: sub <= sup exactly when every
     atom of sup lies below an atom of sub. With M the context x atom
     incidence matrix, that is ``(M @ cover) == M.sum(1)`` for ``cover =
@@ -395,7 +397,7 @@ class ContextPoset:
     padded with the zero matrix's index past its atoms.
     """
 
-    __slots__ = ("_contexts", "_by_id", "_down", "_atom_stack", "_atom_rows", "_defects")
+    __slots__ = ("_contexts", "_by_id", "_down", "_atom_stack", "_atom_rows")
 
     def __init__(self, contexts: Iterable[Context], tol: float | None = None):
         tol = resolve_tolerance(tol)
@@ -436,6 +438,19 @@ class ContextPoset:
                 for c in kept
                 if leq[s, c]
             }
+        # Transitivity, checked once: each down-set holds its members' own.
+        # With it the tables compose, so arrows are natural by construction.
+        # For tol < 1/5 and u <= sub <= sup, an atom P of sup sent to atom U
+        # of u directly and to U' != U through sub would have ||P|| <= ||U'U||
+        # + tol + 3 tol <= 5 tol for atoms orthogonal at tol, yet ||P|| = 1.
+        for sup, down in self._down.items():
+            for sub in down:
+                if not self._down[sub].keys() <= down.keys():
+                    u = min(self._down[sub].keys() - down.keys())
+                    raise InternalInvariantViolation(
+                        f"inclusion is not transitive at tolerance {tol:g}: "
+                        f"{u} <= {sub} <= {sup}, but {u} is not below {sup}"
+                    )
         self._contexts = tuple(ordered[s] for s in kept)
         self._by_id = {ctx.id: ctx for ctx in self._contexts}
         width = max(len(rows[s]) for s in kept)
@@ -443,7 +458,6 @@ class ContextPoset:
         self._atom_stack = np.concatenate([stack, np.zeros_like(stack[:1])])
         for array in (self._atom_stack, self._atom_rows):
             array.setflags(write=False)
-        self._defects = None
 
     @property
     def contexts(self) -> tuple[Context, ...]:
@@ -507,30 +521,6 @@ class ContextPoset:
         if table is None:
             raise KeyError(f"{sub_id} is not included in {sup_id} within this poset")
         return table[checked_index(atom_index, len(table))]
-
-    def _composition_defects(self) -> tuple[tuple[str, str, str, int | None, int], ...]:
-        """Where the tables do not compose: (sub, sup, u, direct, composed)
-        for members u <= sub < sup and a point of sup that sup's table to u
-        sends to point direct of u, and the tables through sub to point
-        composed (direct is None when u is below sub but not below sup).
-        Ordered by sup, then sub; built on the first call and kept."""
-        if self._defects is None:
-            self._defects = self._find_defects()
-        return self._defects
-
-    def _find_defects(self) -> tuple[tuple[str, str, str, int | None, int], ...]:
-        # One tuple comparison per chain u <= sub < sup; points only where it fails.
-        found = []
-        for sup, down in self._down.items():
-            for sub, to_sub in down.items():
-                if sub == sup:
-                    continue
-                for u, to_u in self._down[sub].items():
-                    composed = tuple(map(to_u.__getitem__, to_sub))
-                    if composed != down.get(u):
-                        direct = down.get(u, (None,) * len(composed))
-                        found += [(sub, sup, u, d, c) for d, c in zip(direct, composed) if d != c]
-        return tuple(found)
 
     def __repr__(self) -> str:
         return f"ContextPoset(dim={self.dim}, n_contexts={len(self._contexts)})"

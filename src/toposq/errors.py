@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 Every error raised deliberately by toposq derives from ToposqError, so callers
-can catch the whole family at once. InternalInvariantViolation is reserved for
-conditions that are mathematically impossible given validated inputs; seeing
-one means a bug, not bad input.
+can catch the whole family at once. InternalInvariantViolation means a bug,
+or contexts whose inclusion is not transitive at the tolerance, which no
+partial order can hold; no other validated input raises it.
 """
 
 __all__ = [
@@ -92,4 +92,4 @@ class NotNormalizedError(ToposqError):
 
 
 class InternalInvariantViolation(ToposqError):
-    """An internal consistency guard failed; indicates a bug."""
+    """A consistency guard failed: a bug, or inclusion not transitive at tol."""

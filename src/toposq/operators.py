@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -314,22 +314,23 @@ class OrderPair:
 class OperatorArrow:
     """The natural transformation induced by daseinising an operator.
 
-    For each context V and each character of V it records the OrderPair of
-    inner/outer approximation values over every poset context below V.
+    It holds one checked (id, mu, nu) triple per point of each member. The
+    pair of point i of V, over every poset context w below V, is built on
+    access: at w, the triple of the point of w that point i restricts to.
     """
 
-    __slots__ = ("_poset", "_components")
+    __slots__ = ("_poset", "_triples")
 
-    def __init__(self, poset: ContextPoset, components: Mapping[str, tuple[OrderPair, ...]]):
+    def __init__(self, poset: ContextPoset, triples: Mapping[str, Sequence[tuple]]):
         for v in poset:
-            if v.id not in components:
+            if v.id not in triples:
                 raise PosetMismatchError(f"no component for context {v.id}")
-            if len(components[v.id]) != v.n_atoms:
-                raise ValueError(
-                    f"component at {v.id} must have one pair per character"
-                )
+            if len(triples[v.id]) != v.n_atoms:
+                raise ValueError(f"component at {v.id} must have one triple per character")
+            for item in triples[v.id]:
+                _check_interval(item)
         self._poset = poset
-        self._components = {cid: tuple(pairs) for cid, pairs in components.items()}
+        self._triples = {v.id: tuple(triples[v.id]) for v in poset}
 
     @property
     def poset(self) -> ContextPoset:
@@ -338,12 +339,16 @@ class OperatorArrow:
     def pair(self, v: Context | str, index: int) -> OrderPair:
         """The pair of point index of v; ValueError unless index is a
         non-bool integer in [0, n_atoms)."""
-        pairs = self.pairs(v)
-        return pairs[checked_index(index, len(pairs))]
+        cid = self._poset._member_id(v)
+        i = checked_index(index, len(self._triples[cid]))
+        down = self._poset._down[cid]
+        return OrderPair._trusted(tuple([self._triples[w][table[i]] for w, table in down.items()]))
 
     def pairs(self, v: Context | str) -> tuple[OrderPair, ...]:
-        cid = v.id if isinstance(v, Context) else v
-        return self._components[cid]
+        """The pairs of every point of v, in point order."""
+        down = self._poset._down[self._poset._member_id(v)]
+        columns = [list(map(self._triples[w].__getitem__, table)) for w, table in down.items()]
+        return tuple(map(OrderPair._trusted, zip(*columns)))
 
     def __repr__(self) -> str:
         return f"OperatorArrow(n_contexts={len(self._poset)})"
@@ -437,35 +442,14 @@ def operator_arrow(
     ``inner_operator`` and ``outer_operator``), and one product and trace
     reads all their coefficients, as ``evaluate`` reads them
     (NotInContextError alike), into one checked (id, mu, nu) triple per
-    point. The pair of point i of v holds, for each member w below v, the
-    triple of the point of w that the poset's table sends i to, so every
-    pair that reaches a triple shares it. Naturality (the pair of a
-    restricted character is the restriction of the pair) holds by
-    construction and is re-checked; failure raises InternalInvariantViolation.
+    point. Pairs are built on access from the poset's tables, which compose
+    (the poset checks that once, at build), so the arrow is natural by
+    construction: the pair of a restricted character is the restricted pair.
     """
     tol = resolve_tolerance(tol)
     require_same_dim(a, poset)
     structure = eigenstructure(a, tol)
     atoms, rows = poset._atom_stack, poset._atom_rows
     coeffs = _span_coefficients(_approximations(structure, atoms, rows, tol), atoms, rows, tol)
-    triples: dict[str, list[tuple[str, float, float]]] = {}
-    for w, values in zip(poset, coeffs.tolist()):
-        triples[w.id] = [(w.id, lo, hi) for lo, hi in values[:w.n_atoms]]
-        for item in triples[w.id]:
-            _check_interval(item)
-    components = {}
-    for v, down in poset._down.items():
-        columns = [list(map(triples[w].__getitem__, table)) for w, table in down.items()]
-        components[v] = tuple(map(OrderPair._trusted, zip(*columns)))
-    _check_naturality(poset, triples)
-    return OperatorArrow(poset, components)
-
-
-def _check_naturality(poset: ContextPoset, triples: Mapping[str, list]) -> None:
-    # The pair of point i of v holds triples[u][T_vu[i]] at each u below v;
-    # restricted to w it must equal the pair of point T_vw[i] of w, which
-    # holds triples[u][T_wu[T_vw[i]]]. The values can differ only where the
-    # two table routes differ, and the poset lists those places once.
-    for sub, sup, u, direct, composed in poset._composition_defects():
-        if direct is None or triples[u][direct][1:] != triples[u][composed][1:]:
-            raise InternalInvariantViolation(f"arrow is not natural along {sub} <= {sup}")
+    members = zip(poset, coeffs.tolist())
+    return OperatorArrow(poset, {w.id: [(w.id, *c) for c in cs[:w.n_atoms]] for w, cs in members})

@@ -189,7 +189,7 @@ def arrow_to_doc(arrow: OperatorArrow) -> dict:
     """context id -> point index -> {mu, nu} with 12 significant digits."""
     return {
         "arrow": {
-            v.id: {str(i): _pair_to_doc(arrow.pair(v.id, i)) for i in range(v.n_atoms)}
+            v.id: {str(i): _pair_to_doc(pair) for i, pair in enumerate(arrow.pairs(v))}
             for v in arrow.poset
         }
     }

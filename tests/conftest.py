@@ -73,6 +73,29 @@ def atom_index(context: Context, p: Projection) -> int:
     raise AssertionError("no atom matches the given projection")
 
 
+def nontransitive_contexts(tol: float = 1e-5) -> list[Context]:
+    """Three dim-4 contexts u, w, v with u <= w <= v at tol but not u <= v.
+
+    v is the standard basis; w = {a, b, c + d} turns v's first two rays by
+    0.8 tol in their plane, and u = {a', 1 - a'} turns the first ray by
+    1.6 tol: each step moves a ray by less than tol, the two steps by more.
+    """
+
+    def turned(angle: float) -> tuple[Projection, Projection]:
+        c, s = np.cos(angle), np.sin(angle)
+        return (
+            Projection.onto(np.array([c, s, 0.0, 0.0]), tol),
+            Projection.onto(np.array([-s, c, 0.0, 0.0]), tol),
+        )
+
+    v = context_from_atoms([Projection(np.diag(row), tol) for row in np.eye(4)], tol)
+    a, b = turned(0.8 * tol)
+    w = context_from_atoms([a, b, Projection(np.diag([0.0, 0.0, 1.0, 1.0]), tol)], tol)
+    a2, _ = turned(1.6 * tol)
+    u = context_from_atoms([a2, Projection(np.eye(4) - a2.matrix, tol)], tol)
+    return [u, w, v]
+
+
 def peres_bases():
     """The 24 orthogonal bases of the Peres 24-ray set in C^4, as contexts.
 

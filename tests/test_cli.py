@@ -15,6 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import nontransitive_contexts
 from toposq.cli import main
 from toposq.serialization import (
     context_to_doc,
@@ -349,6 +350,18 @@ def test_mixed_dimension_contexts_is_input_error(files, capsys):
     code, _, err = run(capsys, "contexts", files["eigen"], str(path))
     assert code == 1
     assert "dimension" in err
+
+
+def test_contexts_not_transitive_at_tol_returns_three(files, capsys):
+    paths = []
+    for name, ctx in zip("uwv", nontransitive_contexts(1e-5)):
+        path = files["dir"] / f"{name}.json"
+        path.write_text(json.dumps(context_to_doc(ctx)))
+        paths.append(str(path))
+    code, out, err = run(capsys, "contexts", *paths, "--tol", "1e-5")
+    assert code == 3
+    assert out == ""
+    assert "not transitive" in err
 
 
 def test_suite_failure_returns_two(files, capsys, monkeypatch):

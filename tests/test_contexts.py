@@ -13,11 +13,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import atom_index, peres_bases, rng_for
+from conftest import atom_index, nontransitive_contexts, peres_bases, rng_for
 from toposq import (
     Context,
     ContextPoset,
     HermitianOperator,
+    InternalInvariantViolation,
     MixedDimensionsError,
     NotAPartitionError,
     Projection,
@@ -531,12 +532,31 @@ def test_mutually_included_members_keep_first_id():
         assert_order_is_restriction_table(poset)
 
 
-def assert_order_is_restriction_table(poset: ContextPoset) -> None:
+def test_poset_rejects_inclusion_not_transitive_at_tol():
+    # Each of u <= w and w <= v turns a ray by less than tol, the two by more,
+    # so u is not below v: no order has these three pairs, and the build
+    # raises, naming the chain, instead of keeping two strict pairs.
+    tol = 1e-5
+    u, w, v = nontransitive_contexts(tol)
+    assert includes(u, w, tol) and includes(w, v, tol)
+    assert not includes(u, v, tol)
+    chain = f"{u.id} <= {w.id} <= {v.id}, but {u.id} is not below {v.id}"
+    for members in ([u, w, v], [v, w, u]):
+        with pytest.raises(InternalInvariantViolation, match=chain):
+            ContextPoset(members, tol)
+        with pytest.raises(InternalInvariantViolation, match=chain):
+            build_poset(members, tol=tol)
+    # Any two of them form an order.
+    for pair in ([u, w], [w, v], [u, v]):
+        assert_order_is_restriction_table(ContextPoset(pair, tol), tol)
+
+
+def assert_order_is_restriction_table(poset: ContextPoset, tol: float | None = None) -> None:
     # The pairwise oracle on every ordered pair, the diagonal included.
     for sup in poset:
         tables = {w.id: table for w, table in poset.restrictions(sup)}
         for sub in poset:
-            table = restriction_table(sub, sup)
+            table = restriction_table(sub, sup, tol)
             assert poset.leq(sub, sup) == (table is not None)
             assert tables.get(sub.id) == table
 

@@ -27,13 +27,16 @@ from toposq import (
     DimensionMismatchError,
     GelfandPoint,
     HermitianOperator,
-    InternalInvariantViolation,
+    OperatorArrow,
     OrderPair,
+    PosetMismatchError,
     PrincipalFilter,
     Projection,
     SpectralFamily,
+    UnitVector,
     antonymous,
     build_poset,
+    check_containment,
     cone,
     context_from_atoms,
     context_from_operator,
@@ -58,6 +61,7 @@ from toposq import (
     spectrum,
 )
 from toposq.sampling import (
+    haar_unitary,
     random_context,
     random_hermitian,
     random_maximal_context,
@@ -487,6 +491,31 @@ def test_arrow_pair_checks_the_point_index(sz, spin_poset, eigen_context):
             arrow.pair(eigen_context, bad)
 
 
+def test_arrow_constructor_checks_its_triples(sz, spin_poset, eigen_context):
+    # A public constructor: a member without a component, a component with
+    # the wrong number of points, or an interval OrderPair would reject, is
+    # refused; a non-member is a KeyError on access.
+    arrow = operator_arrow(sz, spin_poset)
+    triples = {v.id: [(v.id, *pair.interval(v.id)) for pair in arrow.pairs(v)] for v in spin_poset}
+    rebuilt = OperatorArrow(spin_poset, triples)
+    assert [rebuilt.pairs(v) for v in spin_poset] == [arrow.pairs(v) for v in spin_poset]
+    cid = eigen_context.id
+    for rigged, error in (
+        ({k: t for k, t in triples.items() if k != cid}, PosetMismatchError),
+        ({**triples, cid: triples[cid][:2]}, ValueError),
+        ({**triples, cid: [(cid, 1.0, 0.0)] + triples[cid][1:]}, ValueError),
+        ({**triples, cid: [(cid, float("nan"), 0.0)] + triples[cid][1:]}, ValueError),
+    ):
+        with pytest.raises(error):
+            OperatorArrow(spin_poset, rigged)
+    ray = Projection.onto(np.array([1.0, 1.0, 0.0]))
+    outside = context_from_atoms([ray, ray.complement()])
+    with pytest.raises(KeyError, match="not a member"):
+        arrow.pairs(outside)
+    with pytest.raises(KeyError, match="not a member"):
+        arrow.pair(outside.id, 0)
+
+
 def test_arrow_monotonicity_and_spec_membership():
     rng = rng_for(72)
     for _ in range(8):
@@ -555,12 +584,12 @@ def test_arrow_takes_one_eigenstructure(monkeypatch, sz, spin_poset):
 def test_arrow_runs_batched_kernels_not_per_context_reads(monkeypatch):
     """An arrow reads no coefficients through coefficients_in_span and
     restricts, evaluates and decides no pair; its eigh and SVD calls do not
-    grow from a dim-4 to a dim-5 closure (14 and 51 contexts); a second arrow
-    over the same poset reuses the naturality index; and the poset's
-    construction calls no restriction_table."""
+    grow from a dim-4 to a dim-5 closure (14 and 51 contexts), on a first or
+    a second arrow over the same poset; and the poset's construction calls
+    no restriction_table."""
     calls = dict.fromkeys(
         ("restriction_table", "restrict", "evaluate", "coefficients_in_span",
-         "eigh", "svd", "index"), 0
+         "eigh", "svd"), 0
     )
 
     def counting(name, original):
@@ -576,7 +605,6 @@ def test_arrow_runs_batched_kernels_not_per_context_reads(monkeypatch):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     span = Context.coefficients_in_span
     monkeypatch.setattr(Context, "coefficients_in_span", counting("coefficients_in_span", span))
-    monkeypatch.setattr(ContextPoset, "_find_defects", counting("index", ContextPoset._find_defects))
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     # np.linalg.norm(x, 2), behind operator_norm, calls the svd of its own module.
     norm_globals = inspect.unwrap(np.linalg.norm).__globals__
@@ -593,7 +621,7 @@ def test_arrow_runs_batched_kernels_not_per_context_reads(monkeypatch):
             kernels[dim, arrow_number] = (calls["eigh"], calls["svd"])
             assert calls == {
                 "restriction_table": 0, "restrict": 0, "evaluate": 0, "coefficients_in_span": 0,
-                "eigh": calls["eigh"], "svd": calls["svd"], "index": int(arrow_number == 1),
+                "eigh": calls["eigh"], "svd": calls["svd"],
             }
     assert kernels[4, 1] == kernels[5, 1] == kernels[4, 2] == kernels[5, 2]
     assert kernels[4, 1][0] == 2  # A's eigenstructure and the batched snap
@@ -667,6 +695,60 @@ def test_arrow_equals_the_public_route_exactly(sz, spin_poset):
                 assert _interval_bytes(got) == _interval_bytes(want)
 
 
+def test_dim7_coarsening_closure_known_answer():
+    """The coarsening closure of a maximal context in C^7 has Bell(7) - 1 =
+    876 contexts and A000258(7) - 2 Bell(7) + 1 = 19,302 - 1,754 + 1 =
+    17,549 strict pairs (refinement pairs of the set partitions of 7, the
+    one-block partition and the diagonal left out). For an operator that
+    mixes the basis pairs (0, 1) and (2, 3) of the context and fixes the
+    other three rays, every interval of its arrow is a closed form in numpy,
+    and a state in the span of rays 0 and 1 violates no containment."""
+    dim = 7
+    basis = haar_unitary(dim, rng_for(87))
+    top = context_from_atoms([Projection.onto(basis[:, i]) for i in range(dim)])
+    poset = build_poset([top], close_coarsening=True)
+    assert len(poset) == 876
+    assert len(poset.strict_pairs()) == 17_549
+    # A = U F diag(lam) F* U*, F unitary and block-diagonal: eigenvector k has
+    # coordinates F[:, k] in the rays of the context, exact zeros included.
+    lam = np.array([-2.0, 1.5, -0.5, 3.0, 0.25, -1.25, 2.0])
+    f = np.eye(dim, dtype=complex)
+    for i, angle, phase in ((0, 0.6, 0.3), (2, 1.1, -0.8)):
+        c, s = np.cos(angle), np.sin(angle) * np.exp(1j * phase)
+        f[i:i + 2, i:i + 2] = [[c, -np.conj(s)], [s, c]]
+    a = HermitianOperator(basis @ f @ np.diag(lam) @ f.conj().T @ basis.conj().T)
+    # An atom summing rays B overlaps eigenprojection k iff F[B, k] != 0, so
+    # its inner and outer values are the least and greatest such lam[k].
+    owner, closed = {}, {}
+    for w in poset:
+        weights = np.array([np.diag(basis.conj().T @ q.matrix @ basis).real for q in w.atoms])
+        owner[w.id] = weights.argmax(0)
+        levels = [lam[(f[weights[r] > 0.5] != 0).any(0)] for r in range(w.n_atoms)]
+        closed[w.id] = [(x.min(), x.max()) for x in levels]
+    got, want = [], []
+    arrow = operator_arrow(a, poset)
+    for v in poset:
+        pairs = arrow.pairs(v)
+        assert len(pairs) == v.n_atoms
+        # A ray of each atom of v; its owner in w is the point it restricts to.
+        rays = [owner[v.id].tolist().index(r) for r in range(v.n_atoms)]
+        for ray, pair in zip(rays, pairs):
+            for w, lo, hi in pair.intervals():
+                got.append((lo, hi))
+                want.append(closed[w][owner[w][ray]])
+    # One interval per point of v and member below it: the sum over k of
+    # S(7, k) k (Bell(k) - 1), S the Stirling numbers of the second kind.
+    assert len(got) == 90_622
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+    psi = UnitVector(basis @ np.array([0.8, 0.6j, 0, 0, 0, 0, 0]))
+    report = check_containment(psi, a, poset)
+    # One row per context that joins rays 0 and 1 (Bell(6) - 1 = 202), two
+    # per other context.
+    assert len(report.rows) == 202 + 2 * 674
+    assert report.violations == ()
+    assert report.ok
+
+
 def test_batched_span_check_decides_at_the_scaled_bound(monkeypatch):
     """A residual rigged into one context's outer approximation just above
     tol * max(1, max |c_i|) makes the batched span check raise
@@ -704,26 +786,6 @@ def test_batched_span_check_decides_at_the_scaled_bound(monkeypatch):
             operator_arrow(a, poset)
         coefficients = w.coefficients_in_span(HermitianOperator(rigged["matrix"]))
         assert (coefficients is None) == raises
-
-
-def test_naturality_check_fires_on_a_rigged_table():
-    """A restriction table rigged so that a restricted pair differs from the
-    pair of the restricted point, or a member dropped from a down-set while
-    a member in between keeps it, makes the arrow raise
-    InternalInvariantViolation from the naturality check."""
-    for rig in ("swap", "drop"):
-        v = random_maximal_context(4, rng_for(86))
-        poset = build_poset([v], close_coarsening=True)
-        a = HermitianOperator(sum(x * atom.matrix for x, atom in zip(range(4), v.atoms)))
-        # u has two points, and some three-atom w lies between u and v.
-        u = next(w for w in poset if w.n_atoms == 2)
-        if rig == "swap":
-            poset._down[v.id][u.id] = tuple(1 - j for j in poset._down[v.id][u.id])
-        else:
-            del poset._down[v.id][u.id]
-        with pytest.raises(InternalInvariantViolation, match=f"<= {v.id}"):
-            operator_arrow(a, poset)
-        assert poset._composition_defects()
 
 
 def test_arrow_naturality_explicit(sz, spin_poset):

@@ -1,7 +1,8 @@
 """Source checks: every hand-set numerical threshold lives in toposq.config,
 the package never imports the benchmark or its oracles, the atom search
-``dominating_atom_index`` stays a test oracle, and the package's public names
-are exactly its modules' ``__all__`` lists."""
+``dominating_atom_index`` stays a test oracle, every module-level import is
+used, and the package's public names are exactly its modules' ``__all__``
+lists."""
 
 from __future__ import annotations
 
@@ -89,6 +90,30 @@ def test_dominating_atom_index_not_called_in_package():
                 if name == "dominating_atom_index":
                     found.append(f"{path.name}:{node.lineno}")
     assert found == [], "dominating_atom_index called in src/toposq: " + ", ".join(found)
+
+
+def test_every_module_level_import_is_used():
+    # No linter runs over the package, so an import left behind by a change
+    # is caught here. A name counts as used when the module reads it, or
+    # lists it in __all__ as a re-export.
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                used |= {elt.value for elt in ast.walk(node.value) if isinstance(elt, ast.Constant)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound != "*" and bound not in used:
+                        found.append(f"{path.name}:{node.lineno}: {bound}")
+    assert found == [], "unused imports in src/toposq: " + ", ".join(found)
 
 
 def test_package_exports_each_module_all():
