@@ -9,7 +9,8 @@ Subcommands:
   spin1-demo  deterministic spin-1 walkthrough
 
 Common flags: --tol, --seed, --close-coarsening, --close-intersection,
---format {table,json}. Exit codes: 0 success, 1 input error, 2 property-suite
+--format {table,json}. Exit codes: 0 success, 1 input error (contexts whose
+inclusion is not transitive at the tolerance among them), 2 property-suite
 failure, 3 internal invariant violation.
 """
 
@@ -19,6 +20,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from itertools import islice
 
 from .config import default_tolerance, resolve_tolerance
 from .contexts import ContextPoset, build_poset
@@ -44,7 +46,14 @@ __all__ = ["main"]
 
 
 def _emit_json(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    """The document, indented and key-sorted, then one newline: the bytes of
+    print(json.dumps(...)), streamed to stdout in pieces of 4,096 encoder
+    chunks. So the whole indented text is never held, and an unbuffered
+    stdout (PYTHONUNBUFFERED) gets one write per piece, not one per chunk."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+    while piece := "".join(islice(chunks, 4096)):
+        sys.stdout.write(piece)
+    sys.stdout.write("\n")
 
 
 def _format_intervals(intervals) -> str:

@@ -20,9 +20,9 @@ import numpy as np
 from .config import ID_DECIMALS, PARTITION_SLACK, resolve_tolerance
 from .errors import (
     DimensionMismatchError,
-    InternalInvariantViolation,
     MixedDimensionsError,
     NotAPartitionError,
+    NotTransitiveError,
     ScalarOperatorError,
     TrivialIntersectionError,
 )
@@ -35,6 +35,7 @@ from .linalg import (
     proj_leq,
     require_same_dim,
     snapped_projection,
+    snapped_projections,
 )
 
 __all__ = [
@@ -51,11 +52,12 @@ __all__ = [
 ]
 
 
-def _atom_sort_key(p: Projection) -> bytes:
-    # Rounding kills numerical jitter; adding complex zero maps -0.0 to +0.0
-    # in both components so the byte encoding is unique.
-    rounded = np.round(p.matrix, ID_DECIMALS) + (0.0 + 0.0j)
-    return rounded.tobytes()
+def _atom_sort_keys(matrices: np.ndarray) -> list[bytes]:
+    """The sort key of each matrix of a stack: its bytes rounded to
+    ID_DECIMALS. Rounding kills numerical jitter; adding complex zero maps
+    -0.0 to +0.0 in both components so the byte encoding is unique."""
+    rounded = np.round(matrices, ID_DECIMALS) + (0.0 + 0.0j)
+    return [matrix.tobytes() for matrix in rounded]
 
 
 def _sums_to(
@@ -120,20 +122,25 @@ class Context:
             raise NotAPartitionError(
                 f"atoms do not sum to the identity (defect {operator_norm(difference):.3e})"
             )
-        self._store(atoms)
+        self._store(atoms, _atom_sort_keys(stack))
 
     @classmethod
-    def _trusted(cls, atoms: Sequence[Projection]) -> "Context":
+    def _trusted(
+        cls, atoms: Sequence[Projection], keys: Sequence[bytes] | None = None
+    ) -> "Context":
         """A context from >= 2 atoms that toposq derived from a validated
         context and that partition the identity by construction; stored and
-        identified as by the constructor, without its checks."""
+        identified as by the constructor, without its checks. keys, when
+        given, are the atoms' sort keys, computed once for atoms shared by
+        several contexts."""
         ctx = object.__new__(cls)
-        ctx._store(tuple(atoms))
+        ctx._store(tuple(atoms), keys)
         return ctx
 
-    def _store(self, atoms: tuple[Projection, ...]) -> None:
+    def _store(self, atoms: tuple[Projection, ...], keys: Sequence[bytes] | None = None) -> None:
         # Canonical atom order and the id: the same for every construction path.
-        keys = [_atom_sort_key(atom) for atom in atoms]
+        if keys is None:
+            keys = _atom_sort_keys(np.stack([atom.matrix for atom in atoms]))
         order = sorted(range(len(atoms)), key=keys.__getitem__)
         self._atoms = tuple(atoms[i] for i in order)
         digest = hashlib.sha256()
@@ -298,18 +305,44 @@ def _merged(v: Context, blocks: Sequence[tuple[int, ...]], tol: float, sums: dic
     return Context._trusted([sums[block] for block in blocks])
 
 
+def _block_sums(atoms: np.ndarray, blocks: Sequence[Sequence[int]], tol: float) -> np.ndarray:
+    """The snapped sum of atoms over each block, as one stack.
+
+    atoms is a stack of atoms with a zero matrix last. Each block is summed
+    in its index order from zero, padded with the zero matrix's index (exact
+    zeros change no float), so every sum has the floats of
+    ``Context._block_sum``'s; all are snapped by one snapped_projections
+    call."""
+    pad = len(atoms) - 1
+    width = max(map(len, blocks))
+    index = np.array([[*block] + [pad] * (width - len(block)) for block in blocks])
+    total = np.zeros((len(index),) + atoms.shape[1:], dtype=np.complex128)
+    for j in range(width):
+        total += atoms[index[:, j]]
+    return snapped_projections((total + total.conj().swapaxes(1, 2)) / 2.0, tol)
+
+
 def coarsenings(v: Context, tol: float | None = None) -> tuple[Context, ...]:
     """All contexts obtained by merging atoms of v into >= 2 blocks.
 
-    Includes v itself, as the partition into singletons. Ordered by id. A
-    block shared by several partitions is summed once per call.
+    Includes v itself, as the partition into singletons. Ordered by id. The
+    distinct blocks of all partitions are summed in one stack and snapped
+    by one batched call, and each block's sort key is computed once.
     """
     tol = resolve_tolerance(tol)
-    sums: dict[tuple[int, ...], Projection] = {}
+    partitions = [p for p in _set_partitions(v.n_atoms) if 2 <= len(p) < v.n_atoms]
+    if not partitions:
+        return (v,)
+    blocks = {b: k for k, b in enumerate(dict.fromkeys(b for p in partitions for b in p))}
+    atoms = np.stack([atom.matrix for atom in v.atoms] + [np.zeros_like(v.atoms[0].matrix)])
+    sums = _block_sums(atoms, list(blocks), tol)
+    keys = _atom_sort_keys(sums)
+    projections = [Projection._trusted(matrix) for matrix in sums]
+    # The >= 2 blocks of a partition give nonzero, pairwise orthogonal sums
+    # of v's validated atoms that add up to the identity: trusted contexts.
     result = [v] + [
-        _merged(v, partition, tol, sums)
-        for partition in _set_partitions(v.n_atoms)
-        if 2 <= len(partition) < v.n_atoms
+        Context._trusted([projections[blocks[b]] for b in p], [keys[blocks[b]] for b in p])
+        for p in partitions
     ]
     return tuple(sorted(result, key=lambda c: c.id))
 
@@ -382,7 +415,7 @@ class ContextPoset:
 
     Contexts are deduplicated by id and kept in id order, and of two members
     that include each other at the tolerance only the first is kept; an
-    order not transitive at the tolerance raises InternalInvariantViolation.
+    order not transitive at the tolerance raises NotTransitiveError.
     The order comes from one atom-order matrix, ``below[b, a] = proj_leq(P_b,
     P_a)`` over the members' distinct atoms: sub <= sup exactly when every
     atom of sup lies below an atom of sub. With M the context x atom
@@ -423,38 +456,52 @@ class ContextPoset:
         # leq[sup, sub]; float32 counts are exact far past any atom count.
         leq = incidence @ cover == incidence.sum(1)[:, None]
         # Antisymmetry at the tolerance: of two members that include each
-        # other, only the first in id order stays.
-        kept: list[int] = []
-        for s in range(len(ordered)):
-            if not (leq[s, kept] & leq[kept, s]).any():
-                kept.append(s)
+        # other, only the first in id order stays. Such pairs are rare, so
+        # only they are walked, in id order.
+        dropped: set[int] = set()
+        first, second = np.nonzero(np.triu(leq & leq.T, 1))
+        for s, t in zip(first.tolist(), second.tolist()):
+            if s not in dropped:
+                dropped.add(t)
+        kept = [s for s in range(len(ordered)) if s not in dropped]
+        leq = leq[np.ix_(kept, kept)]
+        ids = [ordered[s].id for s in kept]
+        # Transitivity, checked once: every member below a member of sup's
+        # down-set is below sup. With it the tables compose, so arrows are
+        # natural by construction. For tol < 1/5 and u <= sub <= sup, an atom
+        # P of sup sent to atom U of u directly and to U' != U through sub
+        # would have ||P|| <= ||U'U|| + tol + 3 tol <= 5 tol for atoms
+        # orthogonal at tol, yet ||P|| = 1.
+        reach = leq.astype(np.float32)
+        gap = (reach @ reach > 0) & ~leq
+        if gap.any():
+            s = int(np.flatnonzero(gap.any(1))[0])
+            escapes = leq & ~leq[s]
+            sub = int(np.flatnonzero(leq[s] & escapes.any(1))[0])
+            u = int(np.flatnonzero(escapes[sub])[0])
+            raise NotTransitiveError(
+                f"inclusion is not transitive at tolerance {tol:g}: "
+                f"{ids[u]} <= {ids[sub]} <= {ids[s]}, but {ids[u]} is not below {ids[s]}"
+            )
+        rows = [rows[s] for s in kept]
+        width = max(map(len, rows))
+        padded = np.array([row + [len(stack)] * (width - len(row)) for row in rows])
         # sup_id -> {sub_id: table} for every sub <= sup in id order, sup
         # itself included: the only record of the order and its tables.
-        self._down = {}
-        for s in kept:
-            sup_rows = below[rows[s]]
-            self._down[ordered[s].id] = {
-                ordered[c].id: tuple(sup_rows[:, rows[c]].argmax(1).tolist())
-                for c in kept
-                if leq[s, c]
-            }
-        # Transitivity, checked once: each down-set holds its members' own.
-        # With it the tables compose, so arrows are natural by construction.
-        # For tol < 1/5 and u <= sub <= sup, an atom P of sup sent to atom U
-        # of u directly and to U' != U through sub would have ||P|| <= ||U'U||
-        # + tol + 3 tol <= 5 tol for atoms orthogonal at tol, yet ||P|| = 1.
-        for sup, down in self._down.items():
-            for sub in down:
-                if not self._down[sub].keys() <= down.keys():
-                    u = min(self._down[sub].keys() - down.keys())
-                    raise InternalInvariantViolation(
-                        f"inclusion is not transitive at tolerance {tol:g}: "
-                        f"{u} <= {sub} <= {sup}, but {u} is not below {sup}"
-                    )
+        # Every table comes from one fancy index over the ordered pairs:
+        # entry i is the first atom of sub above atom i of sup. below gets
+        # an all-False row and column for the pad index, so padding is never
+        # picked, and the entries past sup's atoms are cut off.
+        padded_below = np.zeros((len(below) + 1,) * 2, dtype=bool)
+        padded_below[:-1, :-1] = below
+        sups, subs = np.nonzero(leq)  # by sup, then sub, in id order
+        tables = padded_below[padded[sups][:, :, None], padded[subs][:, None, :]].argmax(2)
+        self._down = {sup: {} for sup in ids}
+        for s, c, table in zip(sups.tolist(), subs.tolist(), tables.tolist()):
+            self._down[ids[s]][ids[c]] = tuple(table[:len(rows[s])])
         self._contexts = tuple(ordered[s] for s in kept)
         self._by_id = {ctx.id: ctx for ctx in self._contexts}
-        width = max(len(rows[s]) for s in kept)
-        self._atom_rows = np.array([rows[s] + [len(stack)] * (width - len(rows[s])) for s in kept])
+        self._atom_rows = padded
         self._atom_stack = np.concatenate([stack, np.zeros_like(stack[:1])])
         for array in (self._atom_stack, self._atom_rows):
             array.setflags(write=False)

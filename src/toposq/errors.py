@@ -1,9 +1,8 @@
 """Exception types shared across the package.
 
 Every error raised deliberately by toposq derives from ToposqError, so callers
-can catch the whole family at once. InternalInvariantViolation means a bug,
-or contexts whose inclusion is not transitive at the tolerance, which no
-partial order can hold; no other validated input raises it.
+can catch the whole family at once. InternalInvariantViolation means a bug;
+no validated input raises it.
 """
 
 __all__ = [
@@ -23,6 +22,7 @@ __all__ = [
     "PosetMismatchError",
     "NotRestrictionClosedError",
     "NotNormalizedError",
+    "NotTransitiveError",
     "InternalInvariantViolation",
 ]
 
@@ -91,5 +91,10 @@ class NotNormalizedError(ToposqError):
     """Vector does not have unit norm within tolerance."""
 
 
+class NotTransitiveError(ToposqError):
+    """Contexts whose inclusion is not transitive at the tolerance: no
+    partial order holds them."""
+
+
 class InternalInvariantViolation(ToposqError):
-    """A consistency guard failed: a bug, or inclusion not transitive at tol."""
+    """A consistency guard failed: a bug."""

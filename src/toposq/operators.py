@@ -21,12 +21,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .config import ORDER_PAIR_SLACK, resolve_tolerance
-from .contexts import Context, ContextPoset, checked_index
+from .contexts import Context, ContextPoset, _block_sums, checked_index
 from .errors import (
     DimensionMismatchError,
     InternalInvariantViolation,
@@ -42,7 +42,6 @@ from .linalg import (
     norm_exceeds,
     proj_leq,
     require_same_dim,
-    snapped_projections,
     spectral_family,
 )
 from .presheaf import GelfandPoint
@@ -346,9 +345,24 @@ class OperatorArrow:
 
     def pairs(self, v: Context | str) -> tuple[OrderPair, ...]:
         """The pairs of every point of v, in point order."""
-        down = self._poset._down[self._poset._member_id(v)]
-        columns = [list(map(self._triples[w].__getitem__, table)) for w, table in down.items()]
+        (columns,) = self._columns((v,))
         return tuple(map(OrderPair._trusted, zip(*columns)))
+
+    def _columns(
+        self, members: Iterable[Context | str], cell: Callable[[tuple], object] | None = None
+    ) -> Iterator[list[tuple]]:
+        """The per-point columns of each of members, in turn: one column for
+        each member w below it (itself among them) in id order, whose entry
+        i is the cell of the point of w that point i restricts to. A
+        point's cell is its (id, mu, nu) triple, or cell(triple), computed
+        once for each point of the poset."""
+        cells = self._triples
+        if cell is not None:
+            cells = {w: tuple(map(cell, triples)) for w, triples in cells.items()}
+        for v in members:
+            down = self._poset._down[self._poset._member_id(v)]
+            # A context has >= 2 points, so each getter returns a tuple.
+            yield [itemgetter(*table)(cells[w]) for w, table in down.items()]
 
     def __repr__(self) -> str:
         return f"OperatorArrow(n_contexts={len(self._poset)})"
@@ -362,7 +376,7 @@ def _approximations(
 
     Each is _daseinised's staircase sum_k t_k (S_k - S_k-1) with the same
     floats: every distinct step S_k of every member is summed in atom order
-    (zero padding adds exact zeros), all are snapped at once, and then every
+    and snapped in one stack by _block_sums, and then every
     staircase climbs one level per pass, with zero terms past its top."""
     # Each atom's least and greatest level: the first and last eigenprojection
     # P_k it overlaps (||Q P_k|| > tol), as in _daseinised. The zero matrix
@@ -387,15 +401,8 @@ def _approximations(
                 for k in levels[-1]
             ])
     n = atoms.shape[-1]
-    width = max(map(len, steps))
-    blocks = np.array([block + (pad,) * (width - len(block)) for block in steps])
-    total = np.zeros((len(blocks), n, n), dtype=np.complex128)
-    for j in range(width):
-        total += atoms[blocks[:, j]]
     # The zero matrix last is the step below every staircase's first.
-    projections = np.concatenate([
-        snapped_projections((total + total.conj().swapaxes(1, 2)) / 2.0, tol), atoms[pad:]
-    ])
+    projections = np.concatenate([_block_sums(atoms, list(steps), tol), atoms[pad:]])
     depth = max(map(len, stairs))
     eigenvalues = structure.eigenvalues
     values = np.array([[eigenvalues[k] for k in ks] + [0.0] * (depth - len(ks)) for ks in levels])

@@ -15,14 +15,15 @@ treats as exact for round-tripping (comparisons happen at tolerance 1e-9).
 from __future__ import annotations
 
 import json
-from typing import Any
+from operator import itemgetter
+from typing import Any, Sequence
 
 import numpy as np
 
 from .contexts import Context, ContextPoset
 from .errors import ParseError, UnsupportedFeatureError
 from .linalg import HermitianOperator, Projection
-from .operators import OperatorArrow, OrderPair
+from .operators import OperatorArrow
 from .presheaf import ClopenSubobject
 from .states import ContainmentReport, UnitVector, ValueSubobject
 
@@ -176,49 +177,67 @@ def subobject_to_doc(s: ClopenSubobject) -> dict:
     return {"components": s.to_doc()}
 
 
-def _pair_to_doc(pair: OrderPair) -> dict:
-    """{"mu": {id: mu}, "nu": {id: nu}} with 12 significant digits."""
-    items = pair.intervals()
-    return {
-        "mu": {cid: round12(lo) for cid, lo, _ in items},
-        "nu": {cid: round12(hi) for cid, _, hi in items},
-    }
+def _rounded(item: tuple[str, float, float]) -> tuple[str, float, float]:
+    """An (id, mu, nu) triple with its bounds at 12 significant digits."""
+    cid, lo, hi = item
+    return cid, round12(lo), round12(hi)
+
+
+class _Rounded(dict):
+    """A document's memo of _rounded over the triples of its pairs or rows,
+    so a triple that many of them share is rounded once per document."""
+
+    def __missing__(self, item: tuple[str, float, float]) -> tuple[str, float, float]:
+        rounded = self[item] = _rounded(item)
+        return rounded
+
+
+_first, _second, _third = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
+def _pair_to_doc(items: Sequence[tuple[str, float, float]]) -> dict:
+    """{"mu": {id: mu}, "nu": {id: nu}} from a pair's rounded triples."""
+    ids = list(map(_first, items))
+    return {"mu": dict(zip(ids, map(_second, items))), "nu": dict(zip(ids, map(_third, items)))}
 
 
 def arrow_to_doc(arrow: OperatorArrow) -> dict:
-    """context id -> point index -> {mu, nu} with 12 significant digits."""
+    """context id -> point index -> {mu, nu} with 12 significant digits;
+    each point's triple is rounded once."""
+    columns = arrow._columns(arrow.poset, _rounded)
     return {
         "arrow": {
-            v.id: {str(i): _pair_to_doc(pair) for i, pair in enumerate(arrow.pairs(v))}
-            for v in arrow.poset
+            v.id: {str(i): _pair_to_doc(items) for i, items in enumerate(zip(*v_columns))}
+            for v, v_columns in zip(arrow.poset, columns)
         }
     }
 
 
 def value_to_doc(val: ValueSubobject) -> dict:
+    rounded = _Rounded()
     return {
         "value": {
-            v.id: [_pair_to_doc(pair) for pair in val.component(v.id)] for v in val.poset
+            v.id: [
+                _pair_to_doc(list(map(rounded.__getitem__, pair.intervals())))
+                for pair in val.component(v.id)
+            ]
+            for v in val.poset
         }
     }
 
 
 def report_to_doc(report: ContainmentReport) -> dict:
-    return {
-        "expectation": round12(report.expectation),
-        "ok": report.ok,
-        "rows": [
-            {
-                "context": row.context_id,
-                "point": row.point_index,
-                "intervals": {
-                    cid: [round12(lo), round12(hi)] for cid, lo, hi in row.intervals
-                },
-                "violations": list(row.violations),
-            }
-            for row in report.rows
-        ],
-    }
+    rounded = _Rounded()
+    rows = []
+    for row in report.rows:
+        items = list(map(rounded.__getitem__, row.intervals))
+        rows.append({
+            "context": row.context_id,
+            "point": row.point_index,
+            "intervals": {cid: [lo, hi] for cid, lo, hi in items},
+            "violations": list(row.violations),
+        })
+    return {"expectation": round12(report.expectation), "ok": report.ok, "rows": rows}
 
 
 def load_matrix(path: str, tol: float | None = None) -> HermitianOperator:

@@ -128,10 +128,10 @@ def value(arrow: OperatorArrow, state: ClopenSubobject) -> ValueSubobject:
     """Apply an operator arrow to a pseudo-state componentwise."""
     if arrow.poset.signature != state.poset.signature:
         raise PosetMismatchError("arrow and pseudo-state live over different posets")
-    components = {
-        v.id: tuple(arrow.pair(v.id, i) for i in sorted(state.component(v.id)))
-        for v in arrow.poset
-    }
+    components = {}
+    for v in arrow.poset:
+        pairs = arrow.pairs(v)
+        components[v.id] = tuple(pairs[i] for i in sorted(state.component(v.id)))
     return ValueSubobject(arrow.poset, components)
 
 
@@ -214,27 +214,31 @@ def containment_report(
     ``psi``, over the same poset. Every point of every pseudo-state component
     contributes one row with its full interval family; an interval [mu, nu]
     counts as containing the expectation when mu - tol <= <a> <= nu + tol.
-    Violations are data in the report, not exceptions.
+    Violations are data in the report, not exceptions. Each point's
+    interval is decided once, and a row reads the verdicts of the points it
+    restricts to through the poset's tables.
     """
     if arrow.poset.signature != state.poset.signature:
         raise PosetMismatchError("arrow and pseudo-state live over different posets")
     tol = resolve_tolerance(tol)
     expected = expectation(psi, a)
+
+    def miss(item: tuple[str, float, float]) -> str | None:
+        cid, lo, hi = item
+        return None if lo - tol <= expected <= hi + tol else cid
+
     rows = []
-    for v in arrow.poset:
+    for v, misses in zip(arrow.poset, arrow._columns(arrow.poset, miss)):
+        pairs = arrow.pairs(v)
+        # Only the columns of members with a missing point can name one.
+        suspects = [column for column in misses if any(column)]
         for index in sorted(state.component(v.id)):
-            pair = arrow.pair(v.id, index)
-            bad = tuple(
-                cid
-                for cid, lo, hi in pair.intervals()
-                if not (lo - tol <= expected <= hi + tol)
-            )
             rows.append(
                 ContainmentRow(
                     context_id=v.id,
                     point_index=index,
-                    intervals=pair.intervals(),
-                    violations=bad,
+                    intervals=pairs[index].intervals(),
+                    violations=tuple(c[index] for c in suspects if c[index] is not None),
                 )
             )
     return ContainmentReport(expected, tuple(rows), tol)

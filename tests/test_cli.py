@@ -15,13 +15,20 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import nontransitive_contexts
+from conftest import nontransitive_contexts, rng_for
 from toposq.cli import main
+from toposq.sampling import random_hermitian, random_maximal_context, random_unit_vector
 from toposq.serialization import (
+    arrow_to_doc,
     context_to_doc,
     load_context,
+    load_matrix,
     load_projection,
+    load_vector,
     matrix_to_doc,
+    poset_to_doc,
+    report_to_doc,
+    value_to_doc,
     vector_to_doc,
 )
 from toposq import (
@@ -29,8 +36,12 @@ from toposq import (
     Projection,
     UnitVector,
     build_poset,
+    containment_report,
     context_from_atoms,
+    operator_arrow,
     outer_projection,
+    pseudo_state,
+    value,
 )
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -200,6 +211,47 @@ def test_value_and_demo_build_arrow_and_state_once(files, capsys, monkeypatch):
         assert calls == {"operator_arrow": 1, "pseudo_state": 1}, route
 
 
+def test_json_output_streams_the_bytes_of_one_dumps(files, capsys, monkeypatch):
+    # A random dim-4 closure on disk, beside the spin-1 files, so the
+    # documents carry 12-digit floats.
+    rng = rng_for(77)
+    for name, doc in (
+        ("v4", context_to_doc(random_maximal_context(4, rng))),
+        ("a4", matrix_to_doc(random_hermitian(4, rng))),
+        ("psi4", vector_to_doc(random_unit_vector(4, rng))),
+    ):
+        files[name] = str(files["dir"] / f"{name}.json")
+        (files["dir"] / f"{name}.json").write_text(json.dumps(doc))
+    cases = []
+    for op, state, contexts in (
+        (files["op"], files["state"], [files["eigen"], files["shared"]]),
+        (files["a4"], files["psi4"], [files["v4"]]),
+    ):
+        a, psi = load_matrix(op), load_vector(state)
+        poset = build_poset([load_context(path) for path in contexts], close_coarsening=True)
+        arrow = operator_arrow(a, poset)
+        state_sub = pseudo_state(psi, poset)
+        report = containment_report(arrow, state_sub, psi, a)
+        closure = ["--close-coarsening", "--format", "json"]
+        cases += [
+            (["value", op, state, "--contexts", *contexts, *closure],
+             {**value_to_doc(value(arrow, state_sub)), "report": report_to_doc(report)}),
+            (["das-op", op, "--contexts", *contexts, *closure], arrow_to_doc(arrow)),
+            (["contexts", *contexts, *closure], poset_to_doc(poset)),
+        ]
+    expected = [json.dumps(doc, indent=2, sort_keys=True) + "\n" for _, doc in cases]
+
+    # The CLI streams its document: it never builds the whole text.
+    def unused(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", unused)
+    for (argv, _), want in zip(cases, expected):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == want, argv[0]
+
+
 def test_props_small_run(files, capsys):
     code, out, _ = run(
         capsys, "props", "--dims", "2", "--trials", "2", "--seed", "5"
@@ -352,16 +404,18 @@ def test_mixed_dimension_contexts_is_input_error(files, capsys):
     assert "dimension" in err
 
 
-def test_contexts_not_transitive_at_tol_returns_three(files, capsys):
+def test_contexts_not_transitive_at_tol_returns_one(files, capsys):
+    # Contexts whose inclusion is not transitive at the tolerance are bad
+    # input: exit 1 with an error line, not the internal-violation exit 3.
     paths = []
     for name, ctx in zip("uwv", nontransitive_contexts(1e-5)):
         path = files["dir"] / f"{name}.json"
         path.write_text(json.dumps(context_to_doc(ctx)))
         paths.append(str(path))
     code, out, err = run(capsys, "contexts", *paths, "--tol", "1e-5")
-    assert code == 3
+    assert code == 1
     assert out == ""
-    assert "not transitive" in err
+    assert err.startswith("error: inclusion is not transitive")
 
 
 def test_suite_failure_returns_two(files, capsys, monkeypatch):

@@ -8,7 +8,7 @@ checked against independent enumeration, not against the library itself.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from toposq import (
     InternalInvariantViolation,
     MixedDimensionsError,
     NotAPartitionError,
+    NotTransitiveError,
     Projection,
     ScalarOperatorError,
     TrivialIntersectionError,
@@ -33,6 +34,7 @@ from toposq import (
     operator_norm,
     proj_leq,
 )
+import toposq.contexts as contexts_module
 from toposq.config import PARTITION_SLACK
 from toposq.contexts import _blocks, _sums_to, restriction_table
 from toposq.sampling import haar_unitary, random_context, random_maximal_context
@@ -249,21 +251,25 @@ def test_coarsenings_hold_v_and_sum_each_block_once(monkeypatch):
     rng = rng_for(91)
     cases = [random_maximal_context(dim, rng) for dim in (2, 3, 4, 5)]
     cases += [random_context(5, rng, n_atoms=k) for k in (2, 3, 4)]
-    # Coarsenings sum their blocks through the internal block sum; the
-    # route below rebuilds them through the public sum_of_atoms.
-    original = Context._block_sum
+    # Coarsenings snap all their block sums in one batched call; the route
+    # below rebuilds them one by one through the public sum_of_atoms.
+    original = contexts_module.snapped_projections
     for v in cases:
         calls = []
 
-        def counting(self, block, tol):
-            calls.append(tuple(block))
-            return original(self, block, tol)
+        def counting(herms, tol):
+            calls.append(original(herms, tol))
+            return calls[-1]
 
-        monkeypatch.setattr(Context, "_block_sum", counting)
+        monkeypatch.setattr(contexts_module, "snapped_projections", counting)
         cs = coarsenings(v)
-        monkeypatch.setattr(Context, "_block_sum", original)
+        monkeypatch.setattr(contexts_module, "snapped_projections", original)
         n = v.n_atoms
-        assert len(calls) == (2**n - 2 if n >= 3 else 0) == len(set(calls))
+        # One call for n >= 3, on the 2^n - 2 nonempty proper blocks, each
+        # once: distinct blocks of orthogonal atoms have distinct sums.
+        assert len(calls) == (1 if n >= 3 else 0)
+        sums = [m.tobytes() for m in np.round(calls[0], 6)] if calls else []
+        assert len(sums) == (2**n - 2 if n >= 3 else 0) == len(set(sums))
         assert [c for c in cs if c.id == v.id][0] is v
         # Every partition into >= 2 blocks, each block re-summed per partition.
         route = {v.id: v}
@@ -532,6 +538,31 @@ def test_mutually_included_members_keep_first_id():
         assert_order_is_restriction_table(poset)
 
 
+def test_mutual_pairs_drop_only_after_kept_members():
+    # a ~ b and b ~ c include each other at tol (turned 0.8 tol apart), a
+    # and c do not (1.6 tol). In id order a member is dropped only for a
+    # kept earlier member it includes both ways, so with b between a and c
+    # in id order both ends stay, and with b first only b does.
+    tol = 1e-5
+
+    def turned(angle):
+        c, s = np.cos(angle), np.sin(angle)
+        rays = ((c, s, 0.0), (-s, c, 0.0), (0.0, 0.0, 1.0))
+        return context_from_atoms([Projection.onto(np.array(r), tol) for r in rays], tol)
+
+    sizes = set()
+    for base in (0.1, 0.4, 0.6):  # b first, and b between c and a, a and c
+        members = [turned(base + k * 0.8 * tol) for k in range(3)]
+        kept = []
+        for x in sorted(members, key=lambda m: m.id):
+            if not any(includes(x, k, tol) and includes(k, x, tol) for k in kept):
+                kept.append(x)
+        for order in permutations(members):
+            assert ContextPoset(order, tol).signature == tuple(k.id for k in kept)
+        sizes.add(len(kept))
+    assert sizes == {1, 2}
+
+
 def test_poset_rejects_inclusion_not_transitive_at_tol():
     # Each of u <= w and w <= v turns a ray by less than tol, the two by more,
     # so u is not below v: no order has these three pairs, and the build
@@ -540,11 +571,13 @@ def test_poset_rejects_inclusion_not_transitive_at_tol():
     u, w, v = nontransitive_contexts(tol)
     assert includes(u, w, tol) and includes(w, v, tol)
     assert not includes(u, v, tol)
+    # The contexts are bad input, not a bug: the error is no invariant violation.
+    assert not issubclass(NotTransitiveError, InternalInvariantViolation)
     chain = f"{u.id} <= {w.id} <= {v.id}, but {u.id} is not below {v.id}"
     for members in ([u, w, v], [v, w, u]):
-        with pytest.raises(InternalInvariantViolation, match=chain):
+        with pytest.raises(NotTransitiveError, match=chain):
             ContextPoset(members, tol)
-        with pytest.raises(InternalInvariantViolation, match=chain):
+        with pytest.raises(NotTransitiveError, match=chain):
             build_poset(members, tol=tol)
     # Any two of them form an order.
     for pair in ([u, w], [w, v], [u, v]):

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import rng_for
+from conftest import peres_bases, rng_for
 from toposq import (
     ParseError,
     Projection,
@@ -19,7 +19,12 @@ from toposq import (
     pseudo_state,
     value,
 )
-from toposq.sampling import random_hermitian, random_maximal_context, random_poset
+from toposq.sampling import (
+    random_hermitian,
+    random_maximal_context,
+    random_poset,
+    random_unit_vector,
+)
 from toposq.serialization import (
     arrow_to_doc,
     context_from_doc,
@@ -232,3 +237,86 @@ def test_report_doc_carries_violations():
     assert rdoc["ok"] is False
     flagged = [v for row in rdoc["rows"] for v in row["violations"]]
     assert len(flagged) == 2
+
+
+# ------------------------------------------------- documents against an oracle
+
+
+def oracle_pair_doc(pair) -> dict:
+    # The per-endpoint route: every bound of every interval rounded by itself.
+    items = pair.intervals()
+    return {
+        "mu": {cid: round12(lo) for cid, lo, _ in items},
+        "nu": {cid: round12(hi) for cid, _, hi in items},
+    }
+
+
+def oracle_docs(arrow, val, report) -> list[dict]:
+    """The three documents, rebuilt pair by pair and row by row."""
+    return [
+        {"arrow": {
+            v.id: {str(i): oracle_pair_doc(arrow.pair(v, i)) for i in range(v.n_atoms)}
+            for v in arrow.poset
+        }},
+        {"value": {v.id: [oracle_pair_doc(p) for p in val.component(v.id)] for v in val.poset}},
+        {
+            "expectation": round12(report.expectation),
+            "ok": report.ok,
+            "rows": [
+                {
+                    "context": row.context_id,
+                    "point": row.point_index,
+                    "intervals": {cid: [round12(lo), round12(hi)] for cid, lo, hi in row.intervals},
+                    "violations": list(row.violations),
+                }
+                for row in report.rows
+            ],
+        },
+    ]
+
+
+def oracle_rows(arrow, state, expected: float, tol: float) -> list[tuple]:
+    """Each report row as (context, point, intervals, violations), every
+    interval decided on its own: mu - tol <= <A> <= nu + tol."""
+    rows = []
+    for v in arrow.poset:
+        for i in sorted(state.component(v.id)):
+            items = arrow.pair(v, i).intervals()
+            bad = tuple(cid for cid, lo, hi in items if not (lo - tol <= expected <= hi + tol))
+            rows.append((v.id, i, items, bad))
+    return rows
+
+
+def test_documents_and_violations_equal_the_per_endpoint_oracle():
+    from toposq import HermitianOperator, containment_report
+
+    rng = rng_for(97)
+    posets = [
+        build_poset([random_maximal_context(dim, rng)], close_coarsening=True)
+        for dim in range(2, 7)
+    ]
+    bases = peres_bases()
+    posets += [build_poset(bases[:k], close_intersection=True) for k in (8, len(bases))]
+    n_violations = 0
+    for poset in posets:
+        dim, ctx = poset.dim, max(poset, key=lambda c: c.n_atoms)
+        # A random operator, and one diagonal in a maximal member with a
+        # repeated eigenvalue, whose intervals at that member are points.
+        levels = np.resize([0.3, 1.0, 0.3, -2.0], ctx.n_atoms)
+        repeated = HermitianOperator(sum(t * q.matrix for t, q in zip(levels, ctx.atoms)))
+        psi = random_unit_vector(dim, rng)
+        state = pseudo_state(psi, poset)
+        for a in (random_hermitian(dim, rng), repeated):
+            arrow = operator_arrow(a, poset)
+            val = value(arrow, state)
+            # The expectation of a itself, and of 0.5 I, which misses every
+            # interval of the repeated operator's points away from 0.5.
+            for b in (a, HermitianOperator(0.5 * np.eye(dim))):
+                report = containment_report(arrow, state, psi, b)
+                got = [arrow_to_doc(arrow), value_to_doc(val), report_to_doc(report)]
+                for doc, want in zip(got, oracle_docs(arrow, val, report)):
+                    assert json.dumps(doc).encode() == json.dumps(want).encode()
+                rows = [(r.context_id, r.point_index, r.intervals, r.violations) for r in report.rows]
+                assert rows == oracle_rows(arrow, state, report.expectation, report.tolerance)
+                n_violations += len(report.violations)
+    assert n_violations > 0
